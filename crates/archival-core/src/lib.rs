@@ -29,6 +29,8 @@
 //! The [`ingest`] module ties these together into the accession pipeline
 //! measured by experiment T1.
 
+#![deny(unsafe_code)]
+
 pub mod access;
 pub mod bagit;
 pub mod description;

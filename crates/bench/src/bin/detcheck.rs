@@ -1,7 +1,7 @@
 //! detcheck: determinism witness for the parallel hot paths.
 //!
 //! Runs every `itrust_par`-backed path (escs simulation, Conv2d
-//! forward/backward, parallel store hashing) with fixed seeds and writes
+//! forward/backward, batched store hashing) with fixed seeds and writes
 //! content digests of the results to `results/detcheck.json`. The file
 //! deliberately contains no timing, thread count, or host information, so
 //! two runs under different `ITRUST_THREADS` settings must produce
@@ -17,7 +17,7 @@ use neural::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use trustdb::hash::sha256;
-use trustdb::store::{MemoryBackend, ObjectStore, PAR_HASH_MIN_BYTES};
+use trustdb::store::{MemoryBackend, ObjectStore};
 
 fn tensor_digest(t: &Tensor) -> String {
     let bytes: Vec<u8> = t.data().iter().flat_map(|v| v.to_bits().to_le_bytes()).collect();
@@ -53,7 +53,7 @@ fn conv_digests() -> Vec<(String, String)> {
 
 fn store_digests() -> Vec<(String, String)> {
     let payloads: Vec<Vec<u8>> = (0..3usize)
-        .map(|i| (0..PAR_HASH_MIN_BYTES + i * 97 + 13).map(|j| ((i * 7 + j) % 253) as u8).collect())
+        .map(|i| (0..64 * 1024 + i * 97 + 13).map(|j| ((i * 7 + j) % 253) as u8).collect())
         .collect();
     let store = ObjectStore::new(MemoryBackend::new());
     store

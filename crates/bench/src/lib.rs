@@ -22,6 +22,8 @@
 //! | [`harness::d9`] | fault-storm survival with self-healing repair |
 //! | [`harness::d10`] | multi-tenant service layer under closed-loop load |
 
+#![deny(unsafe_code)]
+
 pub mod harness;
 pub mod report;
 

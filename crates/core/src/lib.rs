@@ -36,6 +36,8 @@
 //! * [`platform`] — the [`platform::ITrustPlatform`] facade wiring the
 //!   repository, the guard, and the capabilities together end-to-end.
 
+#![deny(unsafe_code)]
+
 pub use itrust_ledger as ledger;
 pub use itrust_par as par;
 pub use itrust_service as service;

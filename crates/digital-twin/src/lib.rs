@@ -24,6 +24,8 @@
 //! tables, sensor registries) are merged into the BIM element graph with
 //! full mapping records (Experiment F2).
 
+#![deny(unsafe_code)]
+
 pub mod ams;
 pub mod archive;
 pub mod bim;

@@ -33,6 +33,8 @@
 //! * [`replay`] — re-running a preserved scenario ("replay of a previous
 //!   disaster") and verifying divergence is zero.
 
+#![deny(unsafe_code)]
+
 pub mod agreement;
 pub mod analytic;
 pub mod call;

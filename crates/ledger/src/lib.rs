@@ -26,6 +26,8 @@
 //! [`trustdb::Error::ProofInvalid`]: non-transient integrity incidents,
 //! never retried.
 
+#![deny(unsafe_code)]
+
 pub mod checkpoint;
 pub mod ledger;
 pub mod sign;

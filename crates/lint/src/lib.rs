@@ -24,6 +24,8 @@
 //! JSON `stale_suppressions` array — so stale annotations rot loudly
 //! instead of silently.
 
+#![deny(unsafe_code)]
+
 pub mod diag;
 pub mod fixtures;
 pub mod graph;

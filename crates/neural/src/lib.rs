@@ -32,6 +32,8 @@
 //!   average precision.
 //! * [`data`] — dataset shuffling, splitting, batching, one-hot encoding.
 
+#![deny(unsafe_code)]
+
 pub mod classical;
 pub mod data;
 pub mod layers;

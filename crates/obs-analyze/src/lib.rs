@@ -28,6 +28,8 @@
 //! no panicking paths — the same invariants `itrust-lint` enforces on every
 //! other library crate apply here.
 
+#![deny(unsafe_code)]
+
 pub mod blackbox;
 pub mod diff;
 pub mod profile;

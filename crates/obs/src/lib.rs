@@ -45,6 +45,8 @@
 //! nanoseconds. Counters of discrete events end in a plural noun
 //! (`trustdb.store.puts`); gauges describe a level (`escs.sim.queue_depth`).
 
+#![deny(unsafe_code)]
+
 mod ctx;
 mod flight;
 mod registry;

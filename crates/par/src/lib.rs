@@ -21,6 +21,8 @@
 //! layer over a batch, hashing an ingest), spawn cost is noise; in exchange
 //! every call site is self-contained and panic-propagation is free.
 
+#![deny(unsafe_code)]
+
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

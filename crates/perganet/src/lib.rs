@@ -20,6 +20,8 @@
 //! F1). [`continuous`] implements the paper's "manual annotations as a form
 //! of continuous learning" loop with a simulated annotator (Experiment D7).
 
+#![deny(unsafe_code)]
+
 pub mod classifier;
 pub mod continuous;
 pub mod corpus;

@@ -24,6 +24,8 @@
 //! thousands of simulated clients, reporting per-tenant p50/p99/p999 —
 //! byte-identical across thread counts.
 
+#![deny(unsafe_code)]
+
 pub mod admission;
 pub mod executor;
 pub mod shard;

@@ -2,6 +2,9 @@
 //!
 //! * [`Sha256`] — FIPS 180-4 SHA-256, incremental and one-shot, validated
 //!   against the published NIST test vectors in the unit tests below.
+//!   Blocks are compressed with the x86 SHA extensions when runtime
+//!   feature detection finds them, and with portable code otherwise; the
+//!   tests pin the two to each other byte for byte.
 //! * [`crc32c`] — CRC-32C (Castagnoli polynomial, the variant used by iSCSI
 //!   and most storage systems), table-driven.
 //!
@@ -26,12 +29,11 @@ impl Digest {
 
     /// Render as lowercase hex (the interchange form used in manifests).
     pub fn to_hex(&self) -> String {
-        const HEX: &[u8; 16] = b"0123456789abcdef";
         let mut s = String::with_capacity(64);
         for b in self.0 {
-            // itrust-lint: allow(panic-reachable) — compression rounds index fixed-size state and schedule arrays with constant bounds
-            s.push(HEX[(b >> 4) as usize] as char);
-            s.push(HEX[(b & 0xf) as usize] as char);
+            for nibble in [b >> 4, b & 0xf] {
+                s.extend(char::from_digit(u32::from(nibble), 16));
+            }
         }
         s
     }
@@ -43,20 +45,19 @@ impl Digest {
             return None;
         }
         let mut out = [0u8; 32];
-        let bytes = s.as_bytes();
-        for i in 0..32 {
-            // itrust-lint: allow(panic-reachable) — compression rounds index fixed-size state and schedule arrays with constant bounds
-            let hi = (bytes[2 * i] as char).to_digit(16)?;
-            let lo = (bytes[2 * i + 1] as char).to_digit(16)?;
-            out[i] = ((hi << 4) | lo) as u8;
+        for (byte, &[hi, lo]) in out.iter_mut().zip(s.as_bytes().as_chunks::<2>().0) {
+            let hi = (hi as char).to_digit(16)?;
+            let lo = (lo as char).to_digit(16)?;
+            *byte = ((hi << 4) | lo) as u8;
         }
         Some(Digest(out))
     }
 
     /// A short prefix for human-readable logs (8 hex chars).
     pub fn short(&self) -> String {
-        // itrust-lint: allow(panic-reachable) — compression rounds index fixed-size state and schedule arrays with constant bounds
-        self.to_hex()[..8].to_string()
+        let mut s = self.to_hex();
+        s.truncate(8);
+        s
     }
 }
 
@@ -87,6 +88,169 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
+/// The SHA-256 compression function in use: the x86 SHA extensions when
+/// the CPU has them, the portable implementation otherwise. Both produce
+/// the same state for the same blocks (pinned by the tests below).
+#[derive(Clone, Copy)]
+enum Compressor {
+    Portable,
+    #[cfg(target_arch = "x86_64")]
+    ShaNi(shani::ShaNi),
+}
+
+impl Compressor {
+    /// The fastest compressor this CPU supports, chosen by runtime feature
+    /// detection alone.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(hw) = shani::ShaNi::detect() {
+            return Compressor::ShaNi(hw);
+        }
+        Compressor::Portable
+    }
+
+    /// Fold `blocks`, in order, into `state`.
+    #[inline]
+    fn compress(self, state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        if blocks.is_empty() {
+            return;
+        }
+        match self {
+            Compressor::Portable => compress_portable(state, blocks),
+            #[cfg(target_arch = "x86_64")]
+            Compressor::ShaNi(hw) => hw.compress(state, blocks),
+        }
+    }
+}
+
+/// FIPS 180-4 §6.2.2 on plain `u32` arithmetic, for any target.
+fn compress_portable(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    for block in blocks {
+        let mut w = [0u32; 64];
+        for (word, bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+            *word = u32::from_be_bytes(*bytes);
+        }
+        for i in 16..64 {
+            // itrust-lint: allow(panic-reachable) — i runs over 16..64, so i-16..=i stays inside the [u32; 64] schedule
+            let (w15, w2) = (w[i - 15], w[i - 2]);
+            let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+            let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
+        }
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+        for (&k, &wi) in K.iter().zip(&w) {
+            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+            let ch = (e & f) ^ ((!e) & g);
+            let t1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(k).wrapping_add(wi);
+            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+            let maj = (a & b) ^ (a & c) ^ (b & c);
+            let t2 = s0.wrapping_add(maj);
+            h = g;
+            g = f;
+            f = e;
+            e = d.wrapping_add(t1);
+            d = c;
+            c = b;
+            b = a;
+            a = t1.wrapping_add(t2);
+        }
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+}
+
+/// SHA-256 compression on the x86 SHA extensions (`sha256rnds2`,
+/// `sha256msg1`, `sha256msg2`). The message schedule is expanded four
+/// words at a time inside the rounds, so a block never round-trips through
+/// memory as a 64-word schedule.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod shani {
+    use super::K;
+    use std::arch::x86_64::*;
+
+    /// Proof that this CPU has the features [`compress_blocks`] enables:
+    /// only [`ShaNi::detect`] builds one, and only after checking them.
+    #[derive(Clone, Copy)]
+    pub(super) struct ShaNi(());
+
+    impl ShaNi {
+        pub(super) fn detect() -> Option<Self> {
+            let present = is_x86_feature_detected!("sha")
+                && is_x86_feature_detected!("sse4.1")
+                && is_x86_feature_detected!("ssse3");
+            present.then_some(ShaNi(()))
+        }
+
+        #[inline]
+        pub(super) fn compress(self, state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+            // SAFETY: a `ShaNi` exists only once `detect` has seen sha,
+            // sse4.1 and ssse3 at run time; sse2 is part of x86_64. Those
+            // are exactly the features `compress_blocks` enables.
+            unsafe { compress_blocks(state, blocks) }
+        }
+    }
+
+    /// Load 16 bytes of message and byte-swap each word to big-endian
+    /// order (lane 0 holds the first word).
+    #[inline]
+    #[target_feature(enable = "sse2,ssse3")]
+    fn load_be(bytes: &[u8; 16]) -> __m128i {
+        let swap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        // SAFETY: `bytes` is a `[u8; 16]`, so the unaligned 16-byte load
+        // reads exactly that array and nothing past it.
+        let raw = unsafe { _mm_loadu_si128(bytes.as_ptr().cast()) };
+        _mm_shuffle_epi8(raw, swap)
+    }
+
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        // `sha256rnds2` keeps the working variables as two vectors, ABEF
+        // and CDGH, with A and C in the top lane.
+        let [a, b, c, d, e, f, g, h] = state.map(|v| v as i32);
+        let mut abef = _mm_set_epi32(a, b, e, f);
+        let mut cdgh = _mm_set_epi32(c, d, g, h);
+        // Each block as four 16-byte quarters (the split leaves no remainder).
+        let quarters = blocks.as_flattened().as_chunks::<16>().0.as_chunks::<4>().0;
+        for [m0, m1, m2, m3] in quarters {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            // Rolling window of the next 16 schedule words, 4 per vector.
+            let (mut w0, mut w1, mut w2, mut w3) =
+                (load_be(m0), load_be(m1), load_be(m2), load_be(m3));
+            for (i, &[k0, k1, k2, k3]) in K.as_chunks::<4>().0.iter().enumerate() {
+                let k = _mm_set_epi32(k3 as i32, k2 as i32, k1 as i32, k0 as i32);
+                let wk = _mm_add_epi32(w0, k);
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0e>(wk));
+                if i < 12 {
+                    // W[t+16..t+20] from W[t..t+16] (FIPS 180-4 σ0/σ1).
+                    let w4 = _mm_sha256msg2_epu32(
+                        _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8::<4>(w3, w2)),
+                        w3,
+                    );
+                    (w0, w1, w2, w3) = (w1, w2, w3, w4);
+                } else {
+                    (w0, w1, w2) = (w1, w2, w3);
+                }
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+        *state = [
+            _mm_extract_epi32::<3>(abef),
+            _mm_extract_epi32::<2>(abef),
+            _mm_extract_epi32::<3>(cdgh),
+            _mm_extract_epi32::<2>(cdgh),
+            _mm_extract_epi32::<1>(abef),
+            _mm_extract_epi32::<0>(abef),
+            _mm_extract_epi32::<1>(cdgh),
+            _mm_extract_epi32::<0>(cdgh),
+        ]
+        .map(|v| v as u32);
+    }
+}
+
 /// Incremental SHA-256 hasher (FIPS 180-4).
 ///
 /// ```
@@ -104,6 +268,7 @@ pub struct Sha256 {
     buf: [u8; 64],
     buf_len: usize,
     total_len: u64,
+    compressor: Compressor,
 }
 
 impl Default for Sha256 {
@@ -113,147 +278,58 @@ impl Default for Sha256 {
 }
 
 impl Sha256 {
-    /// Create a fresh hasher in the initial state.
+    /// Create a fresh hasher in the initial state, on the fastest
+    /// compressor this CPU supports.
     pub fn new() -> Self {
-        Sha256 { state: H0, buf: [0u8; 64], buf_len: 0, total_len: 0 }
+        Self::with_compressor(Compressor::detect())
     }
 
-    /// Absorb `data`, buffering partial blocks internally.
+    fn with_compressor(compressor: Compressor) -> Self {
+        Sha256 { state: H0, buf: [0u8; 64], buf_len: 0, total_len: 0, compressor }
+    }
+
+    /// Absorb `data`. Whole blocks go to the compressor in one call,
+    /// straight from `data`; only a partial block is buffered.
     pub fn update(&mut self, data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut data = data;
         if self.buf_len > 0 {
-            let need = 64 - self.buf_len;
-            let take = need.min(data.len());
-            // itrust-lint: allow(panic-reachable) — compression rounds index fixed-size state and schedule arrays with constant bounds
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
-            self.buf_len += take;
-            data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            let take = (64 - self.buf_len).min(data.len());
+            let (head, rest) = data.split_at(take);
+            if let Some(free) = self.buf.get_mut(self.buf_len..self.buf_len + take) {
+                free.copy_from_slice(head);
             }
-            if data.is_empty() {
+            self.buf_len += take;
+            if self.buf_len < 64 {
                 return;
             }
-            // If data remains, the buffer was necessarily filled and flushed.
-            debug_assert_eq!(self.buf_len, 0);
+            self.compressor.compress(&mut self.state, std::slice::from_ref(&self.buf));
+            self.buf_len = 0;
+            data = rest;
         }
-        let mut chunks = data.chunks_exact(64);
-        for block in &mut chunks {
-            // Safe: chunks_exact guarantees 64 bytes.
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
+        let (blocks, rem) = data.as_chunks::<64>();
+        self.compressor.compress(&mut self.state, blocks);
+        if let Some(free) = self.buf.get_mut(..rem.len()) {
+            free.copy_from_slice(rem);
         }
-        let rem = chunks.remainder();
-        self.buf[..rem.len()].copy_from_slice(rem);
         self.buf_len = rem.len();
     }
 
     /// Finish the computation and produce the digest, consuming the hasher.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-        self.update_padding(bit_len);
+        // Padding: 0x80, zeros until the block is 56 bytes full, then the
+        // 64-bit big-endian bit length. `buf_len` is below 64, so the zero
+        // count is too.
+        let zeros = (119 - self.buf_len) % 64;
+        self.update(&[0x80]);
+        self.update([0u8; 64].get(..zeros).unwrap_or_default());
+        self.update(&bit_len.to_be_bytes());
         let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            // itrust-lint: allow(panic-reachable) — compression rounds index fixed-size state and schedule arrays with constant bounds
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.as_chunks_mut::<4>().0.iter_mut().zip(self.state) {
+            *bytes = word.to_be_bytes();
         }
         Digest(out)
-    }
-
-    fn update_padding(&mut self, bit_len: u64) {
-        let mut pad = [0u8; 72];
-        // itrust-lint: allow(panic-reachable) — compression rounds index fixed-size state and schedule arrays with constant bounds
-        pad[0] = 0x80;
-        // Number of pad bytes so that (buf_len + pad_len) % 64 == 56.
-        let pad_len = if self.buf_len < 56 { 56 - self.buf_len } else { 120 - self.buf_len };
-        pad[pad_len..pad_len + 8].copy_from_slice(&bit_len.to_be_bytes());
-        // Feed via the same buffering path; total_len is no longer used.
-        let total = pad_len + 8;
-        let mut fed = 0;
-        while fed < total {
-            let need = 64 - self.buf_len;
-            let take = need.min(total - fed);
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&pad[fed..fed + take]);
-            self.buf_len += take;
-            fed += take;
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-        }
-    }
-
-    /// Expand a 64-byte block into its 64-word message schedule. The
-    /// schedule depends only on the block's bytes — not on the running
-    /// state — which is what makes it safe to precompute in parallel while
-    /// the (serially chained) compression consumes schedules in block order.
-    #[inline]
-    fn expand_schedule(block: &[u8; 64]) -> [u32; 64] {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[4 * i],
-                block[4 * i + 1],
-                block[4 * i + 2],
-                block[4 * i + 3],
-            ]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        w
-    }
-
-    #[inline]
-    fn compress(&mut self, block: &[u8; 64]) {
-        let w = Self::expand_schedule(block);
-        self.compress_with(&w);
-    }
-
-    /// Run the 64 compression rounds over a precomputed message schedule.
-    #[inline]
-    fn compress_with(&mut self, w: &[u32; 64]) {
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                // itrust-lint: allow(panic-reachable) — compression rounds index fixed-size state and schedule arrays with constant bounds
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
     }
 }
 
@@ -264,56 +340,12 @@ pub fn sha256(data: &[u8]) -> Digest {
     h.finalize()
 }
 
-/// Parallel SHA-256 of `data`, bit-identical to [`sha256`].
-///
-/// SHA-256's compression is serially chained, but the message-schedule
-/// expansion of each 64-byte block depends only on that block's bytes. This
-/// splits the whole blocks into `blocks_per_chunk`-block chunks, expands
-/// the schedules of all chunks in parallel over `itrust_par`, then runs the
-/// compression serially in block order — the digest is therefore exact
-/// SHA-256 regardless of chunk size, thread count, or scheduling. The tail
-/// (partial final block plus padding) goes through the ordinary incremental
-/// path.
-pub fn par_sha256_chunked(data: &[u8], blocks_per_chunk: usize) -> Digest {
-    assert!(blocks_per_chunk > 0, "blocks_per_chunk must be positive");
-    let whole = (data.len() / 64) * 64;
-    let mut h = Sha256::new();
-    // Window the expansion so in-flight schedules (4× the data they cover)
-    // stay bounded no matter how large the object is.
-    let window_bytes = (blocks_per_chunk * 64)
-        .max(64 * 1024)
-        .min(whole.max(64));
-    let mut done = 0usize;
-    while done < whole {
-        let end = (done + window_bytes).min(whole);
-        let schedules: Vec<[u32; 64]> =
-            // itrust-lint: allow(panic-reachable) — compression rounds index fixed-size state and schedule arrays with constant bounds
-            itrust_par::par_map_chunks(&data[done..end], blocks_per_chunk * 64, |_, chunk| {
-                chunk
-                    .chunks_exact(64)
-                    .map(|b| {
-                        let mut blk = [0u8; 64];
-                        blk.copy_from_slice(b);
-                        Sha256::expand_schedule(&blk)
-                    })
-                    .collect()
-            });
-        for w in &schedules {
-            h.compress_with(w);
-        }
-        done = end;
-    }
-    // The manual compress_with calls bypassed `update`'s length accounting.
-    h.total_len = whole as u64;
-    h.update(&data[whole..]);
-    h.finalize()
-}
-
-/// Parallel SHA-256 with the default chunk size (256 blocks = 16 KiB per
-/// chunk — coarse enough that scheduling overhead is noise, fine enough to
-/// spread a multi-megabyte object across workers).
+/// Same digest as [`sha256`], which it calls. Hashing is not split across
+/// threads (parallelism runs across objects instead); this name stays only
+/// because the repository benchmark's FIPS self-test and its
+/// `trustdb.hash.par_sha256_1m_mib_s` probe import it.
 pub fn par_sha256(data: &[u8]) -> Digest {
-    par_sha256_chunked(data, 256)
+    sha256(data)
 }
 
 /// SHA-256 over the concatenation of two digests — the node combiner used by
@@ -321,7 +353,10 @@ pub fn par_sha256(data: &[u8]) -> Digest {
 /// from leaf hashing by a prefix byte (second-preimage hardening, as in
 /// RFC 6962).
 pub fn sha256_pair(left: &Digest, right: &Digest) -> Digest {
-    let mut h = Sha256::new();
+    pair_with(Sha256::new(), left, right)
+}
+
+fn pair_with(mut h: Sha256, left: &Digest, right: &Digest) -> Digest {
     h.update(&[0x01]);
     h.update(&left.0);
     h.update(&right.0);
@@ -330,7 +365,10 @@ pub fn sha256_pair(left: &Digest, right: &Digest) -> Digest {
 
 /// Leaf hash with RFC 6962-style domain separation.
 pub fn sha256_leaf(data: &[u8]) -> Digest {
-    let mut h = Sha256::new();
+    leaf_with(Sha256::new(), data)
+}
+
+fn leaf_with(mut h: Sha256, data: &[u8]) -> Digest {
     h.update(&[0x00]);
     h.update(data);
     h.finalize()
@@ -360,8 +398,9 @@ pub fn crc32c(data: &[u8]) -> u32 {
     let table = crc32c_table();
     let mut crc = !0u32;
     for &b in data {
-        // itrust-lint: allow(panic-reachable) — compression rounds index fixed-size state and schedule arrays with constant bounds
-        crc = (crc >> 8) ^ table[((crc ^ b as u32) & 0xff) as usize];
+        // A `u8` index into a 256-entry table is always present.
+        let entry = table.get(usize::from(crc as u8 ^ b)).copied().unwrap_or_default();
+        crc = (crc >> 8) ^ entry;
     }
     !crc
 }
@@ -370,43 +409,49 @@ pub fn crc32c(data: &[u8]) -> u32 {
 mod tests {
     use super::*;
 
+    /// `msg` hashes to the published digest `want` through [`sha256`] and
+    /// through every compressor this CPU can run.
+    fn assert_vector(msg: &[u8], want: &str) {
+        assert_eq!(sha256(msg).to_hex(), want, "sha256, len {}", msg.len());
+        for (name, c) in compressors() {
+            assert_eq!(sha256_on(c, msg).to_hex(), want, "{name}, len {}", msg.len());
+        }
+    }
+
     // NIST FIPS 180-4 / well-known reference vectors.
     #[test]
     fn sha256_empty() {
-        assert_eq!(
-            sha256(b"").to_hex(),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
+        assert_vector(b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
     }
 
     #[test]
     fn sha256_abc() {
-        assert_eq!(
-            sha256(b"abc").to_hex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
+        assert_vector(b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
     }
 
     #[test]
     fn sha256_two_block_message() {
-        assert_eq!(
-            sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq").to_hex(),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        assert_vector(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+        );
+        assert_vector(
+            b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
         );
     }
 
     #[test]
     fn sha256_million_a() {
-        let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            sha256(&data).to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        assert_vector(
+            &vec![b'a'; 1_000_000],
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
         );
     }
 
     #[test]
     fn sha256_exact_block_boundary() {
-        // 64-byte input exercises the padding-overflow branch (pad_len = 120 - 0).
+        // A 64-byte input leaves the padding a whole block of its own.
         let data = [0x42u8; 64];
         let whole = sha256(&data);
         let mut inc = Sha256::new();
@@ -439,38 +484,96 @@ mod tests {
         );
     }
 
+    /// Every compressor this CPU can run: the portable one always, SHA-NI
+    /// when detected. When the hardware leg cannot run, say so on stderr
+    /// rather than pass in silence.
+    fn compressors() -> Vec<(&'static str, Compressor)> {
+        let mut all = vec![("portable", Compressor::Portable)];
+        #[cfg(target_arch = "x86_64")]
+        match shani::ShaNi::detect() {
+            Some(hw) => all.push(("sha-ni", Compressor::ShaNi(hw))),
+            None => eprintln!("SHA-NI not detected on this CPU: hardware SHA-256 leg not run"),
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        eprintln!("not x86_64: hardware SHA-256 leg not run");
+        all
+    }
+
+    fn sha256_on(c: Compressor, data: &[u8]) -> Digest {
+        let mut h = Sha256::with_compressor(c);
+        h.update(data);
+        h.finalize()
+    }
+
+    /// The portable digest of `data`, checked against every other
+    /// compressor on the way.
+    fn agreed(data: &[u8]) -> Digest {
+        let want = sha256_on(Compressor::Portable, data);
+        for (name, c) in compressors() {
+            assert_eq!(sha256_on(c, data), want, "{name}, len {}", data.len());
+        }
+        want
+    }
+
     #[test]
-    fn par_sha256_matches_oneshot_across_sizes_and_chunkings() {
-        for len in [0usize, 1, 63, 64, 65, 127, 128, 1000, 4096, 100_000] {
-            let data: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
-            let want = sha256(&data);
-            assert_eq!(par_sha256(&data), want, "len={len}");
-            for bpc in [1, 2, 3, 7, 256, 5000] {
-                assert_eq!(par_sha256_chunked(&data, bpc), want, "len={len} bpc={bpc}");
+    fn compressors_agree_on_every_length_up_to_1024() {
+        let data: Vec<u8> =
+            (0..1024u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
+        for len in 0..=data.len() {
+            agreed(&data[..len]);
+        }
+    }
+
+    #[test]
+    fn pair_and_leaf_agree_across_compressors() {
+        let (left, right) = (sha256(b"left"), sha256(b"right"));
+        let mut node = vec![0x01];
+        node.extend_from_slice(&left.0);
+        node.extend_from_slice(&right.0);
+        let want_pair = agreed(&node);
+        let want_leaf = agreed(b"\x00leaf bytes");
+        assert_eq!(sha256_pair(&left, &right), want_pair);
+        assert_eq!(sha256_leaf(b"leaf bytes"), want_leaf);
+        for (name, c) in compressors() {
+            assert_eq!(pair_with(Sha256::with_compressor(c), &left, &right), want_pair, "{name}");
+            assert_eq!(leaf_with(Sha256::with_compressor(c), b"leaf bytes"), want_leaf, "{name}");
+        }
+    }
+
+    proptest::proptest! {
+        /// Feeding a message in arbitrary pieces gives every compressor the
+        /// portable one-shot digest.
+        #[test]
+        fn compressors_agree_at_random_split_points(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..1500),
+            cuts in proptest::collection::vec(0usize..1500, 0..6),
+        ) {
+            let want = sha256_on(Compressor::Portable, &data);
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (data.len() + 1)).collect();
+            cuts.sort_unstable();
+            for (name, c) in compressors() {
+                let mut h = Sha256::with_compressor(c);
+                let mut prev = 0;
+                for &cut in &cuts {
+                    h.update(&data[prev..cut]);
+                    prev = cut;
+                }
+                h.update(&data[prev..]);
+                proptest::prop_assert_eq!(h.finalize(), want, "{}", name);
             }
         }
     }
 
     #[test]
-    fn par_sha256_invariant_across_thread_counts() {
-        let data: Vec<u8> = (0..50_000).map(|i| (i % 256) as u8).collect();
-        let want = sha256(&data);
-        for threads in [1, 2, 4, 8] {
-            let got = itrust_par::with_threads(threads, || par_sha256(&data));
-            assert_eq!(got, want, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn par_sha256_nist_vectors() {
-        // Same published vectors the serial path is validated against.
+        // The compatibility name must keep giving the published digests.
         assert_eq!(
             par_sha256(b"abc").to_hex(),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
         );
         let data = vec![b'a'; 1_000_000];
         assert_eq!(
-            par_sha256_chunked(&data, 32).to_hex(),
+            par_sha256(&data).to_hex(),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
     }

@@ -30,7 +30,10 @@
 //!
 //! All cryptographic primitives (SHA-256, CRC32C) are implemented in this
 //! crate from scratch — no external crypto dependencies — and validated
-//! against published test vectors.
+//! against published test vectors. SHA-256 runs on the x86 SHA extensions
+//! when the CPU has them (runtime detection) and on portable code
+//! otherwise; that compression function is the only `unsafe` code in the
+//! workspace.
 //!
 //! ## Quick example
 //!
@@ -42,6 +45,8 @@
 //! assert_eq!(&store.get(&id).unwrap()[..], b"archival record content");
 //! assert!(store.verify(&id).unwrap());
 //! ```
+
+#![deny(unsafe_code)]
 
 pub mod antientropy;
 pub mod audit;

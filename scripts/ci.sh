@@ -34,6 +34,12 @@ ITRUST_THREADS=4 ITRUST_RESULTS_DIR="$SCRATCH/t4" \
     cargo run --release -q -p itrust-bench --bin detcheck
 diff -u "$SCRATCH/t1/detcheck.json" "$SCRATCH/t4/detcheck.json"
 
+# Benchmark correctness smoke: a one-second accession run checks the
+# SHA-256 FIPS 180-4 self-test, every ingest and every fixity sweep, and
+# exits non-zero if any of them fails. Its timings are not gated here.
+cargo run --offline --release -q -p itrust-bench --bin benchmark -- \
+    --workload accession --seed 1 --seconds 1 --trace 0 > "$SCRATCH/benchmark-accession.txt"
+
 # Invariant gate: itrust-lint enforces the workspace rules (handle-based
 # telemetry, injected clocks, ordered iteration, ctx-first macros, pooled
 # threads, config-only env reads) plus the three interprocedural passes —

@@ -80,14 +80,14 @@ fn conv2d_forward_equals_retained_naive_reference() {
     }
 }
 
-/// Multi-block store puts (large enough to engage the parallel hash path)
-/// must produce identical digests at every thread count, all equal to the
+/// Multi-block store puts, hashed across the batch by `put_many`, must
+/// produce identical digests at every thread count, all equal to the
 /// serial one-shot SHA-256.
 #[test]
 fn store_digests_identical_across_thread_counts() {
-    use trustdb::store::{MemoryBackend, ObjectStore, PAR_HASH_MIN_BYTES};
+    use trustdb::store::{MemoryBackend, ObjectStore};
     let payloads: Vec<Vec<u8>> = (0..4usize)
-        .map(|i| (0..PAR_HASH_MIN_BYTES + i * 31 + 5).map(|j| ((i + j) % 251) as u8).collect())
+        .map(|i| (0..64 * 1024 + i * 31 + 5).map(|j| ((i + j) % 251) as u8).collect())
         .collect();
     let digests = |threads: usize| {
         par::with_threads(threads, || {
