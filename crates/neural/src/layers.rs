@@ -382,9 +382,10 @@ struct ConvCache {
 
 /// 2-D convolution over `[N, C, H, W]` inputs, square kernel, stride 1,
 /// symmetric zero padding. Blocked im2col implementation parallelized over
-/// `itrust_par`: each batch item's patch matrix is built independently, and
-/// each `(item, out-channel)` output row is a dot of a weight row with the
-/// patch rows. Accumulation runs `kk`-ascending from the bias, so forward
+/// batch items with `itrust_par`: one task builds an item's patch matrix,
+/// then each of its out-channel rows as a dot of a weight row with the
+/// patch rows. A one-item batch (inference) therefore runs inline on the
+/// caller. Accumulation runs `kk`-ascending from the bias, so forward
 /// outputs equal the retained [`conv2d_forward_naive`] under `f32` equality
 /// and are bit-identical for every thread count (padding taps contribute
 /// exact `±0.0` adds, which cannot change a sum). Backward computes per-item
@@ -454,36 +455,35 @@ impl Layer for Conv2d {
             self.patch_pool.append(&mut retired);
         }
         let pool = std::sync::Mutex::new(std::mem::take(&mut self.patch_pool));
-        let patches: Vec<Vec<f32>> = itrust_par::par_map_indices(n, |b| {
-            // itrust-lint: allow(panic-reachable) — a poisoned pool means a worker already panicked; re-panicking just propagates it
-            let mut buf = pool.lock().expect("patch pool poisoned").pop().unwrap_or_default();
-            im2col_t_into(input, b, kernel, padding, oh, ow, &mut buf);
-            buf
-        });
-        // itrust-lint: allow(panic-reachable) — a poisoned pool means a worker already panicked; re-panicking just propagates it
-        self.patch_pool = pool.into_inner().expect("patch pool poisoned");
         let wdata = self.weight.value.data();
         let bdata = self.bias.value.data();
-        let rows: Vec<Vec<f32>> = itrust_par::par_map_indices(n * out_c, |i| {
-            let (b, oc) = (i / out_c, i % out_c);
-            let patch = &patches[b];
-            let mut row = vec![bdata[oc]; ohw];
-            for (kk, &wv) in wdata[oc * kk_total..(oc + 1) * kk_total].iter().enumerate() {
-                // A zero weight contributes exact ±0.0 to every position —
-                // skipping it cannot change any sum.
-                if wv == 0.0 {
-                    continue;
-                }
-                for (o, &x) in row.iter_mut().zip(&patch[kk * ohw..(kk + 1) * ohw]) {
-                    *o += wv * x;
+        let (patches, rows): (Vec<Vec<f32>>, Vec<Vec<f32>>) = itrust_par::par_map_indices(n, |b| {
+            // itrust-lint: allow(panic-reachable) — a poisoned pool means a worker already panicked; re-panicking just propagates it
+            let mut patch = pool.lock().expect("patch pool poisoned").pop().unwrap_or_default();
+            im2col_t_into(input, b, kernel, padding, oh, ow, &mut patch);
+            let mut rows = Vec::with_capacity(out_c * ohw);
+            for (oc, &bv) in bdata.iter().enumerate() {
+                let start = rows.len();
+                rows.resize(start + ohw, bv);
+                let row = &mut rows[start..];
+                for (kk, &wv) in wdata[oc * kk_total..(oc + 1) * kk_total].iter().enumerate() {
+                    // A zero weight contributes exact ±0.0 to every position —
+                    // skipping it cannot change any sum.
+                    if wv == 0.0 {
+                        continue;
+                    }
+                    for (o, &x) in row.iter_mut().zip(&patch[kk * ohw..(kk + 1) * ohw]) {
+                        *o += wv * x;
+                    }
                 }
             }
-            row
-        });
-        let mut out = Vec::with_capacity(n * out_c * ohw);
-        for r in &rows {
-            out.extend_from_slice(r);
-        }
+            (patch, rows)
+        })
+        .into_iter()
+        .unzip();
+        // itrust-lint: allow(panic-reachable) — a poisoned pool means a worker already panicked; re-panicking just propagates it
+        self.patch_pool = pool.into_inner().expect("patch pool poisoned");
+        let out = rows.concat();
         self.cache = Some(ConvCache { input_shape: input.shape().to_vec(), patches, oh, ow });
         Tensor::from_vec(&[n, out_c, oh, ow], out)
     }
@@ -980,9 +980,15 @@ mod tests {
     #[test]
     fn conv_blocked_forward_matches_naive_exactly() {
         let mut rng = StdRng::seed_from_u64(77);
-        for &(in_c, out_c, k, pad, h, w, n) in
-            &[(1, 1, 1, 0, 3, 3, 1), (2, 3, 3, 1, 5, 4, 2), (3, 2, 2, 0, 4, 6, 3), (1, 4, 5, 2, 7, 7, 2)]
-        {
+        for &(in_c, out_c, k, pad, h, w, n) in &[
+            (1, 1, 1, 0, 3, 3, 1),
+            (2, 3, 3, 1, 5, 4, 2),
+            (3, 2, 2, 0, 4, 6, 3),
+            (1, 4, 5, 2, 7, 7, 2),
+            // PergaNet's inference (one image) and training (16) batches.
+            (1, 6, 3, 1, 32, 32, 1),
+            (6, 12, 3, 1, 16, 16, 16),
+        ] {
             let mut conv = Conv2d::new(in_c, out_c, k, pad, &mut rng);
             let x = Tensor::rand_uniform(&[n, in_c, h, w], -1.0, 1.0, &mut rng);
             let got = conv.forward(&x, false);
@@ -1025,11 +1031,11 @@ mod tests {
     /// count — the substrate's core guarantee on this hot path.
     #[test]
     fn conv_forward_backward_bit_identical_across_thread_counts() {
-        let run = |threads: usize| {
+        let run = |threads: usize, n: usize| {
             itrust_par::with_threads(threads, || {
                 let mut rng = StdRng::seed_from_u64(79);
                 let mut conv = Conv2d::new(2, 4, 3, 1, &mut rng);
-                let x = Tensor::rand_uniform(&[3, 2, 6, 6], -1.0, 1.0, &mut rng);
+                let x = Tensor::rand_uniform(&[n, 2, 6, 6], -1.0, 1.0, &mut rng);
                 let y = conv.forward(&x, false);
                 let g = Tensor::rand_uniform(y.shape(), -1.0, 1.0, &mut rng);
                 let gi = conv.backward(&g);
@@ -1041,9 +1047,12 @@ mod tests {
                 (bits(&y), bits(&gi), bits(&wg), bits(&bg))
             })
         };
-        let serial = run(1);
-        for threads in [2, 4, 8] {
-            assert_eq!(run(threads), serial, "threads={threads}");
+        // Batches of 1 (inference) and 16 (training) as well as 3.
+        for n in [1, 3, 16] {
+            let serial = run(1, n);
+            for threads in [2, 4, 8] {
+                assert_eq!(run(threads, n), serial, "n={n} threads={threads}");
+            }
         }
     }
 

@@ -55,17 +55,15 @@ impl VggLite {
     pub fn train(&mut self, corpus: &[Parchment], epochs: usize, lr: f32) -> Vec<f32> {
         assert!(!corpus.is_empty(), "empty training corpus");
         let mut optim = Adam::new(lr);
-        let mut order: Vec<usize> = (0..corpus.len()).collect();
+        let mut order: Vec<&Parchment> = corpus.iter().collect();
         let mut epoch_losses = Vec::with_capacity(epochs);
         for _ in 0..epochs {
             order.shuffle(&mut self.rng);
             let mut losses = Vec::new();
             for chunk in order.chunks(16) {
-                let tensors: Vec<Tensor> =
-                    // itrust-lint: allow(panic-reachable) — score slots match the class count fixed at construction
-                    chunk.iter().map(|&i| corpus[i].image.to_tensor()).collect();
+                let tensors: Vec<Tensor> = chunk.iter().map(|p| p.image.to_tensor()).collect();
                 let x = Tensor::stack_batch(&tensors);
-                let y: Vec<usize> = chunk.iter().map(|&i| corpus[i].truth.side.class()).collect();
+                let y: Vec<usize> = chunk.iter().map(|p| p.truth.side.class()).collect();
                 losses.push(self.net.train_step_ce(&x, &y, &mut optim));
             }
             epoch_losses.push(losses.iter().sum::<f32>() / losses.len() as f32);
@@ -77,7 +75,7 @@ impl VggLite {
     /// Classify one image, returning the side and the softmax confidence.
     pub fn predict(&mut self, image: &GrayImage) -> (Side, f32) {
         let probs = self.net.predict_proba(&image.to_tensor());
-        // itrust-lint: allow(panic-reachable) — score slots match the class count fixed at construction
+        // itrust-lint: allow(panic-reachable) — `to_tensor` makes a one-image batch, so `argmax_rows` has exactly one entry
         let class = probs.argmax_rows()[0];
         (Side::from_class(class), probs.at2(0, class))
     }
@@ -92,9 +90,8 @@ impl VggLite {
             .map(|p| {
                 let tensors = [p.image.to_tensor()];
                 let x = Tensor::stack_batch(&tensors);
-                // itrust-lint: allow(panic-reachable) — score slots match the class count fixed at construction
-                let pred = self.net.predict_classes(&x)[0];
-                usize::from(pred == p.truth.side.class())
+                let pred = self.net.predict_classes(&x);
+                usize::from(pred == [p.truth.side.class()])
             })
             .sum::<usize>();
         correct as f64 / corpus.len() as f64

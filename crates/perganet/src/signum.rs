@@ -48,8 +48,9 @@ pub fn targets_for(boxes: &[BBox]) -> CellTargets {
         let dy = (cy - (row * CELL) as f32) / CELL as f32;
         let w = (b.x1 - b.x0) / IMG as f32;
         let h = (b.y1 - b.y0) / IMG as f32;
-        // itrust-lint: allow(panic-reachable) — stroke points are indexed below the polyline length
-        cells[row * GRID + col] = Some((dx, dy, w, h));
+        if let Some(cell) = cells.get_mut(row * GRID + col) {
+            *cell = Some((dx, dy, w, h));
+        }
     }
     cells
 }
@@ -58,10 +59,8 @@ pub fn targets_for(boxes: &[BBox]) -> CellTargets {
 /// output: weighted BCE on objectness plus MSE on box parameters of
 /// positive cells.
 pub fn yolo_loss(out: &Tensor, targets: &[CellTargets]) -> LossOutput {
-    // itrust-lint: allow(panic-reachable) — stroke points are indexed below the polyline length
-    let batch = out.shape()[0];
-    assert_eq!(batch, targets.len());
-    assert_eq!(out.shape()[1], GRID * GRID * PER_CELL);
+    let batch = targets.len();
+    assert_eq!(out.shape(), [batch, GRID * GRID * PER_CELL], "one output row per target");
     let inv_batch = 1.0 / batch as f32;
     let mut loss = 0.0f32;
     let mut grad = Tensor::zeros(out.shape());
@@ -138,20 +137,16 @@ impl YoloLite {
     pub fn train(&mut self, corpus: &[Parchment], epochs: usize, lr: f32) -> Vec<f32> {
         assert!(!corpus.is_empty(), "empty training corpus");
         let mut optim = Adam::new(lr);
-        let mut order: Vec<usize> = (0..corpus.len()).collect();
+        let mut order: Vec<&Parchment> = corpus.iter().collect();
         let mut epoch_losses = Vec::with_capacity(epochs);
         for _ in 0..epochs {
             order.shuffle(&mut self.rng);
             let mut losses = Vec::new();
             for chunk in order.chunks(16) {
-                let tensors: Vec<Tensor> =
-                    // itrust-lint: allow(panic-reachable) — stroke points are indexed below the polyline length
-                    chunk.iter().map(|&i| corpus[i].image.to_tensor()).collect();
+                let tensors: Vec<Tensor> = chunk.iter().map(|p| p.image.to_tensor()).collect();
                 let x = Tensor::stack_batch(&tensors);
-                let targets: Vec<CellTargets> = chunk
-                    .iter()
-                    .map(|&i| targets_for(&corpus[i].truth.signum_boxes))
-                    .collect();
+                let targets: Vec<CellTargets> =
+                    chunk.iter().map(|p| targets_for(&p.truth.signum_boxes)).collect();
                 let loss = self.net.train_step_custom(
                     &x,
                     &|out| yolo_loss(out, &targets),

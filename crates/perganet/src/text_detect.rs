@@ -89,19 +89,17 @@ impl EastLite {
     pub fn train(&mut self, corpus: &[Parchment], epochs: usize, lr: f32) -> Vec<f32> {
         assert!(!corpus.is_empty(), "empty training corpus");
         let mut optim = Adam::new(lr);
-        let mut order: Vec<usize> = (0..corpus.len()).collect();
+        let mut order: Vec<&Parchment> = corpus.iter().collect();
         let mut epoch_losses = Vec::with_capacity(epochs);
         for _ in 0..epochs {
             order.shuffle(&mut self.rng);
             let mut losses = Vec::new();
             for chunk in order.chunks(16) {
-                let tensors: Vec<Tensor> =
-                    // itrust-lint: allow(panic-reachable) — window offsets stop short of the page width
-                    chunk.iter().map(|&i| corpus[i].image.to_tensor()).collect();
+                let tensors: Vec<Tensor> = chunk.iter().map(|p| p.image.to_tensor()).collect();
                 let x = Tensor::stack_batch(&tensors);
                 let mut target = Vec::with_capacity(chunk.len() * GRID * GRID);
-                for &i in chunk {
-                    target.extend(Self::target_map(&corpus[i].truth.text_boxes));
+                for p in chunk {
+                    target.extend(Self::target_map(&p.truth.text_boxes));
                 }
                 let target = Tensor::from_vec(&[chunk.len(), GRID * GRID], target);
                 let weight = target.map(|t| if t > 0.5 { POS_WEIGHT } else { 1.0 });
@@ -128,13 +126,13 @@ impl EastLite {
     pub fn detect(&mut self, image: &GrayImage) -> Vec<BBox> {
         let scores = self.score_map(image);
         let mut boxes = Vec::new();
-        for row in 0..GRID {
+        for (row, cells) in scores.chunks(GRID).enumerate() {
+            let positive = |col: usize| cells.get(col).is_some_and(|&s| s > self.threshold);
             let mut col = 0;
-            while col < GRID {
-                // itrust-lint: allow(panic-reachable) — window offsets stop short of the page width
-                if scores[row * GRID + col] > self.threshold {
+            while col < cells.len() {
+                if positive(col) {
                     let start = col;
-                    while col < GRID && scores[row * GRID + col] > self.threshold {
+                    while positive(col) {
                         col += 1;
                     }
                     boxes.push(BBox::new(

@@ -34,11 +34,17 @@ ITRUST_THREADS=4 ITRUST_RESULTS_DIR="$SCRATCH/t4" \
     cargo run --release -q -p itrust-bench --bin detcheck
 diff -u "$SCRATCH/t1/detcheck.json" "$SCRATCH/t4/detcheck.json"
 
-# Benchmark correctness smoke: a one-second accession run checks the
-# SHA-256 FIPS 180-4 self-test, every ingest and every fixity sweep, and
-# exits non-zero if any of them fails. Its timings are not gated here.
-cargo run --offline --release -q -p itrust-bench --bin benchmark -- \
-    --workload accession --seed 1 --seconds 1 --trace 0 > "$SCRATCH/benchmark-accession.txt"
+# Benchmark correctness smoke: a one-second run of every workload, each
+# exiting non-zero on any failed check. accession checks the SHA-256
+# FIPS 180-4 self-test, every ingest and every fixity sweep; perganet its
+# quality floors; service its requests, WAL replay and shard sweeps;
+# custody its proofs, tamper detection and ledger verification. Timings
+# are not gated here.
+for workload in accession perganet service custody; do
+    cargo run --offline --release -q -p itrust-bench --bin benchmark -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 \
+        > "$SCRATCH/benchmark-$workload.txt"
+done
 
 # Invariant gate: itrust-lint enforces the workspace rules (handle-based
 # telemetry, injected clocks, ordered iteration, ctx-first macros, pooled
