@@ -9,6 +9,9 @@ fn main() {
     em.meta("seed_base", 7_000); // SimConfig seeds are 7000 + psap count
     let (rows, report) = itrust_bench::harness::d1::run(em.obs());
     println!("{report}");
+    for r in &rows {
+        em.metric(&format!("d1.psaps{}.{}.calls_per_sec", r.psaps, r.scenario), r.calls_per_sec);
+    }
     let calls: usize = rows.iter().map(|r| r.calls).sum();
     em.metric("d1.calls_total", calls as f64)
         .metric(

@@ -10,6 +10,10 @@ fn main() {
     println!("{index_report}");
     let (linking, linking_report) = itrust_bench::harness::d6::run_linking(em.obs());
     println!("{linking_report}");
+    for r in &index_rows {
+        em.metric(&format!("d6.docs{}.build_docs_s", r.docs), r.build_docs_s)
+            .metric(&format!("d6.docs{}.queries_s", r.docs), r.queries_s);
+    }
     em.metric(
         "d6.build_docs_s_max",
         index_rows.iter().map(|r| r.build_docs_s).fold(0.0, f64::max),

@@ -5,8 +5,8 @@
 //! content digests of the results to `results/detcheck.json`. The file
 //! deliberately contains no timing, thread count, or host information, so
 //! two runs under different `ITRUST_THREADS` settings must produce
-//! byte-identical JSON. CI runs it twice (1 thread, 4 threads) and diffs
-//! the outputs.
+//! byte-identical JSON. CI regenerates it at 1 and at 4 threads and diffs
+//! each run against the committed `results/detcheck.json`.
 
 use escs::external::ExternalTimeline;
 use escs::graph::Topology;

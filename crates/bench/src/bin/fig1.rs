@@ -7,8 +7,9 @@ fn main() {
         .expect("create trace sink")
         .with_blackbox(4096);
     em.meta("corpus_seeds", "train 1..3, test 10+damage");
-    let (rows, report) = itrust_bench::harness::fig1::run(em.obs());
+    let (rows, train_s, report) = itrust_bench::harness::fig1::run(em.obs());
     println!("{report}");
+    em.metric("fig1.train_s", train_s);
     for r in &rows {
         em.metric(&format!("fig1.side_acc_damage{}", r.damage), r.eval.side_accuracy)
             .metric(&format!("fig1.signum_ap_damage{}", r.damage), r.eval.signum_ap)

@@ -8,6 +8,9 @@ fn main() {
         .with_blackbox(4096);
     let (rows, report) = itrust_bench::harness::fig2::run(em.obs());
     println!("{report}");
+    for r in &rows {
+        em.metric(&format!("fig2.elements{}.records_per_sec", r.elements), r.records_per_sec);
+    }
     em.metric("fig2.records_in_total", rows.iter().map(|r| r.records_in).sum::<usize>() as f64)
         .metric("fig2.integrated_total", rows.iter().map(|r| r.integrated).sum::<usize>() as f64)
         .metric("fig2.conflicts_total", rows.iter().map(|r| r.conflicts).sum::<usize>() as f64)

@@ -8,6 +8,11 @@ fn main() {
         .with_blackbox(4096);
     let (rows, report) = itrust_bench::harness::table1::run(em.obs());
     println!("{report}");
+    for r in &rows {
+        let fond = slug(r.fond);
+        em.metric(&format!("table1.{fond}.ingest_mib_s"), r.ingest_mib_s)
+            .metric(&format!("table1.{fond}.fixity_mib_s"), r.fixity_mib_s);
+    }
     em.metric("table1.bytes_total", rows.iter().map(|r| r.bytes).sum::<u64>() as f64)
         .metric("table1.records_total", rows.iter().map(|r| r.records).sum::<usize>() as f64)
         .metric(
@@ -19,4 +24,14 @@ fn main() {
             rows.iter().map(|r| r.fixity_mib_s).sum::<f64>() / rows.len() as f64,
         );
     em.finish(rows.len() as u64, &report).expect("write results");
+}
+
+/// Metric-key form of a fond name: `Trademarks series (UIBM)` →
+/// `trademarks_series_uibm`.
+fn slug(fond: &str) -> String {
+    fond.split(|c: char| !c.is_ascii_alphanumeric())
+        .filter(|w| !w.is_empty())
+        .map(str::to_ascii_lowercase)
+        .collect::<Vec<_>>()
+        .join("_")
 }

@@ -51,15 +51,14 @@ pub fn run(obs: &itrust_obs::ObsCtx) -> (Vec<SimRow>, String) {
     }
     let mut out = String::from(
         "D1 — ESCS simulator scaling (2 simulated hours per cell)\n\
-         PSAPs   scenario    calls   calls/s   abandon%   p95 answer (s)   replay divergence\n",
+         PSAPs   scenario    calls   abandon%   p95 answer (s)   replay divergence\n",
     );
     for r in &rows {
         out.push_str(&format!(
-            "{:>5} {:>10} {:>8} {:>9.0} {:>9.1} {:>16.1} {:>19}\n",
+            "{:>5} {:>10} {:>8} {:>9.1} {:>16.1} {:>19}\n",
             r.psaps,
             r.scenario,
             r.calls,
-            r.calls_per_sec,
             r.abandonment * 100.0,
             r.p95_answer_s,
             r.replay_divergence

@@ -55,18 +55,16 @@ pub fn run(obs: &itrust_obs::ObsCtx) -> (Vec<TwinRow>, String) {
     }
     let mut out = String::from(
         "D4 — digital-twin preservation round trip (1 h telemetry)\n\
-         buildings   sens/elem   elements   readings   AIP MiB   archive s   rehydrate s   perfect\n",
+         buildings   sens/elem   elements   readings   AIP MiB   perfect\n",
     );
     for r in &rows {
         out.push_str(&format!(
-            "{:>9} {:>11} {:>10} {:>10} {:>9.1} {:>11.2} {:>13.2} {:>9}\n",
+            "{:>9} {:>11} {:>10} {:>10} {:>9.1} {:>9}\n",
             r.buildings,
             r.sensors_per_element,
             r.elements,
             r.readings,
             r.aip_bytes as f64 / (1024.0 * 1024.0),
-            r.archive_s,
-            r.rehydrate_s,
             r.perfect
         ));
     }

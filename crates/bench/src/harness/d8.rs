@@ -74,8 +74,8 @@ pub fn run_calls(obs: &itrust_obs::ObsCtx) -> (CallRedactionRow, String) {
         no_leakage,
     };
     let out = format!(
-        "D8 — call-record sanitization: {} records at {:.0} rec/s, leakage-free = {}\n",
-        row.records, row.records_per_sec, row.no_leakage
+        "D8 — call-record sanitization: {} records, leakage-free = {}\n",
+        row.records, row.no_leakage
     );
     (row, out)
 }
@@ -116,9 +116,8 @@ pub fn run_text(obs: &itrust_obs::ObsCtx) -> (TextRedactionRow, String) {
         spans,
     };
     let out = format!(
-        "D8 — text redaction: {} narratives, {:.1} MiB/s, {} spans removed ({:.2}/doc)\n",
+        "D8 — text redaction: {} narratives, {} spans removed ({:.2}/doc)\n",
         row.texts,
-        row.mib_per_sec,
         row.spans,
         row.spans as f64 / row.texts as f64
     );

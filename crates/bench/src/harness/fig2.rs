@@ -45,12 +45,12 @@ pub fn run(obs: &itrust_obs::ObsCtx) -> (Vec<ScaleRow>, String) {
     }
     let mut out = String::from(
         "Figure 2 — integrating diverse databases into BIM (6 sources per campus)\n\
-         elements   records in   integrated   unmatched   conflicts     records/s\n",
+         elements   records in   integrated   unmatched   conflicts\n",
     );
     for r in &rows {
         out.push_str(&format!(
-            "{:>8} {:>12} {:>12} {:>11} {:>11} {:>13.0}\n",
-            r.elements, r.records_in, r.integrated, r.unmatched, r.conflicts, r.records_per_sec
+            "{:>8} {:>12} {:>12} {:>11} {:>11}\n",
+            r.elements, r.records_in, r.integrated, r.unmatched, r.conflicts
         ));
     }
     (rows, out)

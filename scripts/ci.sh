@@ -24,15 +24,23 @@ cargo clippy --workspace -- -D warnings
 SCRATCH="$(mktemp -d)"
 trap 'rm -rf "$SCRATCH"' EXIT
 
-# Serial-equivalence gate, part 2: detcheck writes content digests of every
-# parallelized hot path (sim output, conv tensors, store digests) with no
-# timing or host info. The two runs must produce byte-identical JSON.
-mkdir -p "$SCRATCH/t1" "$SCRATCH/t4"
-ITRUST_THREADS=1 ITRUST_RESULTS_DIR="$SCRATCH/t1" \
-    cargo run --release -q -p itrust-bench --bin detcheck
-ITRUST_THREADS=4 ITRUST_RESULTS_DIR="$SCRATCH/t4" \
-    cargo run --release -q -p itrust-bench --bin detcheck
-diff -u "$SCRATCH/t1/detcheck.json" "$SCRATCH/t4/detcheck.json"
+# Golden-report gate (serial-equivalence gate, part 2): the behavioural
+# contract is every committed report in results/ plus the detcheck content
+# digests. Regenerate all of them into scratch at 1 and at 4 threads; each
+# must be byte-identical to its committed file. Reports carry deterministic
+# columns only — wall-clock rates live in <name>.json, which is not diffed.
+for threads in 1 4; do
+    golden="$SCRATCH/golden-t$threads"
+    mkdir -p "$golden"
+    for bin in d1 d2 d3 d4 d5 d6 d7 d8 d9 d10 d11 fig1 fig2 table1; do
+        ITRUST_THREADS=$threads ITRUST_RESULTS_DIR="$golden" \
+            cargo run --release -q -p itrust-bench --bin "$bin" > /dev/null
+        diff -u "results/$bin.txt" "$golden/$bin.txt"
+    done
+    ITRUST_THREADS=$threads ITRUST_RESULTS_DIR="$golden" \
+        cargo run --release -q -p itrust-bench --bin detcheck > /dev/null
+    diff -u results/detcheck.json "$golden/detcheck.json"
+done
 
 # Benchmark correctness smoke: a one-second run of every workload, each
 # exiting non-zero on any failed check. accession checks the SHA-256
