@@ -12,7 +12,7 @@ fn main() {
     let total = |f: fn(&itrust_bench::harness::d10::TenantRow) -> u64| -> f64 {
         outcome.tenants.iter().map(f).sum::<u64>() as f64
     };
-    em.meta("seed", std::env::var("D10_SEED").unwrap_or_else(|_| "42".into()));
+    em.meta("seed", itrust_bench::harness::d10::LoadConfig::default_experiment().seed);
     em.metric("d10.ops_total", total(|r| r.ops))
         .metric("d10.puts_total", total(|r| r.puts))
         .metric("d10.gets_total", total(|r| r.gets))

@@ -11,7 +11,7 @@ fn main() {
     println!("{report}");
     let all_verified =
         outcome.merged_verified && outcome.sizes.iter().all(|r| r.verified);
-    em.meta("seed", std::env::var("D11_SEED").unwrap_or_else(|_| "42".into()));
+    em.meta("seed", itrust_bench::harness::d11::LedgerConfig::default_experiment().seed);
     em.metric("d11.events_total", outcome.sizes.iter().map(|r| r.events).sum::<usize>() as f64)
         .metric(
             "d11.checkpoints_total",

@@ -18,7 +18,7 @@ fn main() {
     let min_avail = |mode: IngestMode| {
         rows.iter().filter(|r| r.mode == mode).map(|r| r.availability).fold(1.0, f64::min)
     };
-    em.meta("seed", std::env::var("D9_SEED").unwrap_or_else(|_| "42".into()));
+    em.meta("seed", itrust_bench::harness::d9::SEED);
     em.metric("d9.availability_min_dtn", min_avail(IngestMode::Dtn))
         .metric("d9.availability_min_plain", min_avail(IngestMode::Plain))
         .metric(

@@ -26,9 +26,6 @@
 //! holdings, and ends with a full fixity verification. Nothing in it
 //! depends on wall time or thread count, so two runs at different
 //! `ITRUST_THREADS` produce byte-identical output.
-//!
-//! Environment knobs (for CI smoke runs): `D10_CLIENTS`, `D10_SHARDS`,
-//! `D10_MS`, `D10_RATE` (tokens/ms), `D10_QUEUE`, `D10_SEED`.
 
 use itrust_service::{
     BucketConfig, ExecutorConfig, OpOutput, Quota, Request, ServiceExecutor, ShardedConfig,
@@ -367,14 +364,6 @@ pub fn load_run(config: &LoadConfig, obs: &itrust_obs::ObsCtx) -> LoadOutcome {
     LoadOutcome { tenants, shards, total_ms, verified }
 }
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
 /// Render the report (everything in it is virtual-time-derived).
 pub fn format_report(config: &LoadConfig, outcome: &LoadOutcome) -> String {
     let mut out = format!(
@@ -424,17 +413,9 @@ pub fn format_report(config: &LoadConfig, outcome: &LoadOutcome) -> String {
     out
 }
 
-/// Full experiment: env knobs → closed-loop run → report.
+/// Full experiment: closed-loop run at the default configuration → report.
 pub fn run(obs: &itrust_obs::ObsCtx) -> (LoadOutcome, String) {
-    let defaults = LoadConfig::default_experiment();
-    let config = LoadConfig {
-        clients: env_usize("D10_CLIENTS", defaults.clients),
-        shards: env_usize("D10_SHARDS", defaults.shards),
-        duration_ms: env_u64("D10_MS", defaults.duration_ms),
-        rate_per_ms: env_u64("D10_RATE", defaults.rate_per_ms).max(1),
-        queue_capacity: env_usize("D10_QUEUE", defaults.queue_capacity),
-        seed: env_u64("D10_SEED", defaults.seed),
-    };
+    let config = LoadConfig::default_experiment();
     let outcome = load_run(&config, obs);
     let report = format_report(&config, &outcome);
     (outcome, report)

@@ -28,9 +28,6 @@
 //! proof latency still lands in the telemetry snapshot (the
 //! `ledger.prove` span histogram), where benchdiff gates it with the
 //! wide d9/d10 band.
-//!
-//! Environment knobs (for CI smoke runs): `D11_SIZES` (comma list),
-//! `D11_PROOFS` (samples per size), `D11_SEED`.
 
 use std::sync::Arc;
 
@@ -286,27 +283,6 @@ pub fn ledger_run(config: &LedgerConfig, obs: &itrust_obs::ObsCtx) -> LedgerOutc
     LedgerOutcome { sizes, merged, merged_total, merged_head, merged_verified }
 }
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn env_sizes(key: &str, default: &[usize]) -> Vec<usize> {
-    let parsed: Option<Vec<usize>> = std::env::var(key).ok().map(|v| {
-        v.split(',')
-            .filter_map(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n >= CHECKPOINTS)
-            .collect()
-    });
-    match parsed {
-        Some(sizes) if !sizes.is_empty() => sizes,
-        _ => default.to_vec(),
-    }
-}
-
 /// Render the report (everything in it is hash- or virtual-time-derived).
 pub fn format_report(config: &LedgerConfig, outcome: &LedgerOutcome) -> String {
     let mut out = format!(
@@ -353,14 +329,9 @@ pub fn format_report(config: &LedgerConfig, outcome: &LedgerOutcome) -> String {
     out
 }
 
-/// Full experiment: env knobs → ledger sweep → report.
+/// Full experiment: ledger sweep at the default configuration → report.
 pub fn run(obs: &itrust_obs::ObsCtx) -> (LedgerOutcome, String) {
-    let defaults = LedgerConfig::default_experiment();
-    let config = LedgerConfig {
-        sizes: env_sizes("D11_SIZES", &defaults.sizes),
-        proofs: env_usize("D11_PROOFS", defaults.proofs).max(1),
-        seed: env_u64("D11_SEED", defaults.seed),
-    };
+    let config = LedgerConfig::default_experiment();
     let outcome = ledger_run(&config, obs);
     let report = format_report(&config, &outcome);
     (outcome, report)
@@ -417,10 +388,5 @@ mod tests {
             }),
         );
         assert_eq!(a, b, "D11 report must not depend on thread count");
-    }
-
-    #[test]
-    fn size_knob_parses_comma_lists() {
-        assert_eq!(env_sizes("D11_NO_SUCH_KNOB", &[5, 6]), vec![5, 6]);
     }
 }

@@ -29,9 +29,6 @@
 //! deterministic units), repair counts, survival, and the shared post-heal
 //! merkle root. Nothing in the report depends on wall time or thread count,
 //! so two runs at different `ITRUST_THREADS` produce byte-identical output.
-//!
-//! Environment knobs (for CI smoke runs): `D9_OBJECTS`, `D9_RATES`
-//! (comma-separated fractions), `D9_ROT`, `D9_SEED`.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -284,44 +281,17 @@ pub fn storm_run(
     }
 }
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|f| (0.0..=1.0).contains(f))
-        .unwrap_or(default)
-}
-
-fn env_rates(key: &str, default: &[f64]) -> Vec<f64> {
-    match std::env::var(key) {
-        Ok(v) => v
-            .split(',')
-            .filter_map(|s| s.trim().parse::<f64>().ok())
-            .filter(|f| (0.0..=1.0).contains(f))
-            .collect(),
-        Err(_) => default.to_vec(),
-    }
-}
+/// Base seed of the storm cells.
+pub const SEED: u64 = 42;
 
 /// Full experiment: availability and post-heal convergence vs partition
-/// rate for 1–3 replicas, plain vs delay-tolerant ingest.
+/// rate for 1–3 replicas, plain vs delay-tolerant ingest. 400 objects per
+/// cell; the post-heal bit-rot storm hits 5% of at-rest copies.
 pub fn run(obs: &itrust_obs::ObsCtx) -> (Vec<PartitionCell>, String) {
-    let objects = env_usize("D9_OBJECTS", 400);
-    let seed = env_u64("D9_SEED", 42);
-    let rot = env_f64("D9_ROT", 0.05);
-    let rates = env_rates("D9_RATES", &[0.0, 0.10, 0.25, 0.50]);
-
+    let (objects, rot) = (400, 0.05);
     let mut rows = Vec::new();
     for replicas in 1..=3usize {
-        for (ri, &rate) in rates.iter().enumerate() {
+        for (ri, &rate) in [0.0, 0.10, 0.25, 0.50].iter().enumerate() {
             for mode in [IngestMode::Plain, IngestMode::Dtn] {
                 rows.push(storm_run(
                     replicas,
@@ -329,7 +299,7 @@ pub fn run(obs: &itrust_obs::ObsCtx) -> (Vec<PartitionCell>, String) {
                     rate,
                     rot,
                     mode,
-                    seed + replicas as u64 * 1_000 + ri as u64 * 10,
+                    SEED + replicas as u64 * 1_000 + ri as u64 * 10,
                     obs,
                 ));
             }
