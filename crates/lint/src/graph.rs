@@ -8,7 +8,9 @@
 //! `wal::Wal::append(…)` matches any function whose qualified path embeds
 //! those segments in order and ends in `append` — with conservative
 //! fan-out for method calls (`x.append(…)` resolves to every method named
-//! `append` anywhere in the workspace). Over-approximation is the default:
+//! `append` anywhere in the workspace that takes as many arguments; a call
+//! whose arguments cannot be counted keeps every arity). Over-approximation
+//! is the default:
 //! an edge the program cannot take costs a false positive that a
 //! suppression documents; a missing edge would silently hide a deadlock.
 //! Three receiver heuristics carve out calls that demonstrably resolve to
@@ -42,6 +44,8 @@ pub struct Call {
     pub segs: Vec<String>,
     /// Receiver-method call (`x.m(…)`) rather than a path call.
     pub method: bool,
+    /// Argument count (after the receiver); `None` when not countable.
+    pub args: Option<usize>,
     /// Token index of the name.
     pub tok: usize,
     pub line: u32,
@@ -253,7 +257,8 @@ pub fn build_workspace(files: Vec<FileUnit>) -> Workspace {
 /// Resolve one call to its candidate target items.
 ///
 /// * Method calls fan out to every method (first param `self`) with the
-///   name, workspace-wide — the conservative treatment of trait dispatch.
+///   name and, when both are known, the argument count, workspace-wide —
+///   the conservative treatment of trait dispatch.
 /// * Path calls match items whose qualified path embeds the written
 ///   segments in order (allowing up to two leading segments — crate
 ///   aliases like `itrust_core::` — to be dropped).
@@ -278,7 +283,12 @@ fn resolve_call(
     if call.method {
         for &c in candidates {
             // itrust-lint: allow(panic-reachable) — token indices are guarded by the scan-loop bounds and saturating backward walks
-            if items[c].has_self && !items[c].in_test {
+            let item = &items[c];
+            let arity_fits = match (call.args, item.params) {
+                (Some(args), Some(params)) => args == params,
+                _ => true,
+            };
+            if item.has_self && !item.in_test && arity_fits {
                 out.push(c);
             }
         }
@@ -907,8 +917,18 @@ fn call_at(
     if segs.is_empty() {
         return None;
     }
-    let _ = file;
-    Some(Call { segs, method, tok: name_idx, line: name.line, col: name.col, targets: Vec::new() })
+    let args = parse::matching_pair(toks, name_idx + 1, toks.len(), '(', ')')
+        .and_then(|close| toks.get(name_idx + 2..close))
+        .and_then(|run| parse::list_len(run, false));
+    Some(Call {
+        segs,
+        method,
+        args,
+        tok: name_idx,
+        line: name.line,
+        col: name.col,
+        targets: Vec::new(),
+    })
 }
 
 /// Multi-source BFS over the call graph. Returns, for every item, the
@@ -1022,6 +1042,22 @@ mod tests {
         ]);
         let go = find(&w, "go");
         assert_eq!(w.edges[go].len(), 2, "method call resolves to both put impls");
+    }
+
+    #[test]
+    fn method_fan_out_skips_other_arities() {
+        let w = ws(&[
+            ("crates/a/src/x.rs", "pub struct A; impl A { pub fn get(&self, t: u8, k: u8) {} }"),
+            ("crates/b/src/y.rs", "pub struct B; impl B { pub fn get(&self, m: Map<u8, u8>) {} }"),
+            (
+                "crates/c/src/lib.rs",
+                "pub fn one(v: &V) { v.get(1); }\npub fn unknown(v: &V) { v.get(a | b, c); }",
+            ),
+        ]);
+        let b_get =
+            w.items.iter().position(|i| i.display_path() == "b::y::B::get").expect("B::get");
+        assert_eq!(w.edges[find(&w, "one")], vec![b_get], "one argument: only B::get fits");
+        assert_eq!(w.edges[find(&w, "unknown")].len(), 2, "uncountable arguments keep both");
     }
 
     #[test]

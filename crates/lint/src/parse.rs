@@ -38,6 +38,8 @@ pub struct Item {
     pub vis: Visibility,
     /// First parameter is some form of `self` (method).
     pub has_self: bool,
+    /// Parameters after any `self`; `None` when the list did not parse.
+    pub params: Option<usize>,
     /// Inside a `#[cfg(test)]` region.
     pub in_test: bool,
     /// Token index of the `fn` keyword.
@@ -190,6 +192,7 @@ fn scan(
                 qualified,
                 vis: visibility_before(toks, i),
                 has_self: parsed.has_self,
+                params: parsed.params,
                 in_test: in_test.get(i).copied().unwrap_or(false),
                 fn_tok: i,
                 body: parsed.body,
@@ -212,6 +215,7 @@ fn scan(
 
 struct FnShape {
     has_self: bool,
+    params: Option<usize>,
     body: Option<(usize, usize)>,
     /// Where to continue scanning when there is no body.
     resume: usize,
@@ -230,7 +234,9 @@ fn parse_fn(toks: &[Tok], fn_idx: usize, end: usize) -> Option<FnShape> {
     }
     let params_close = matching_pair(toks, i, end, '(', ')')?;
     // itrust-lint: allow(panic-reachable) — token indices are produced by the parser cursor, which checks len before every step
-    let has_self = first_param_is_self(&toks[i + 1..params_close]);
+    let param_toks = &toks[i + 1..params_close];
+    let has_self = first_param_is_self(param_toks);
+    let params = list_len(param_toks, true).map(|n| n.saturating_sub(usize::from(has_self)));
     // Scan forward for the body `{` or a terminating `;`, skipping any
     // parenthesized groups (tuple return types, `impl Fn(…)` bounds) and
     // angle groups in where clauses.
@@ -239,10 +245,10 @@ fn parse_fn(toks: &[Tok], fn_idx: usize, end: usize) -> Option<FnShape> {
         let t = &toks[j];
         if t.is_punct('{') {
             let close = matching_brace(toks, j, end)?;
-            return Some(FnShape { has_self, body: Some((j, close)), resume: close + 1 });
+            return Some(FnShape { has_self, params, body: Some((j, close)), resume: close + 1 });
         }
         if t.is_punct(';') {
-            return Some(FnShape { has_self, body: None, resume: j + 1 });
+            return Some(FnShape { has_self, params, body: None, resume: j + 1 });
         }
         if t.is_punct('(') {
             j = matching_pair(toks, j, end, '(', ')')? + 1;
@@ -255,6 +261,39 @@ fn parse_fn(toks: &[Tok], fn_idx: usize, end: usize) -> Option<FnShape> {
         j += 1;
     }
     None
+}
+
+/// Number of comma-separated entries in the token run between a pair of
+/// parentheses; commas inside nested brackets do not count. `angles`
+/// treats `<`/`>` as brackets (type position: a parameter list). Without
+/// it, a top-level `<` or `|` (turbofish, comparison, closure parameters)
+/// makes the count unknowable and yields `None`.
+pub(crate) fn list_len(run: &[Tok], angles: bool) -> Option<usize> {
+    let mut depth = 0i32;
+    let mut commas = 0;
+    let mut prev_dash = false;
+    for t in run {
+        let arrow = prev_dash && t.is_punct('>');
+        prev_dash = t.is_punct('-');
+        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') || (angles && t.is_punct('<')) {
+            depth += 1;
+        } else if t.is_punct(')')
+            || t.is_punct(']')
+            || t.is_punct('}')
+            || (angles && t.is_punct('>') && !arrow)
+        {
+            depth -= 1;
+        } else if depth == 0 && t.is_punct(',') {
+            commas += 1;
+        } else if depth == 0 && !angles && (t.is_punct('<') || t.is_punct('|')) {
+            return None;
+        }
+    }
+    match run.last() {
+        None => Some(0),
+        Some(t) if t.is_punct(',') => Some(commas),
+        Some(_) => Some(commas + 1),
+    }
 }
 
 /// Does the parameter token run start with some `self` form?
@@ -442,7 +481,14 @@ pub fn matching_brace(toks: &[Tok], open: usize, end: usize) -> Option<usize> {
     matching_pair(toks, open, end, '{', '}')
 }
 
-fn matching_pair(toks: &[Tok], open: usize, end: usize, o: char, c: char) -> Option<usize> {
+/// Index of the `c` closing the `o` at `open`, within `toks[..end]`.
+pub(crate) fn matching_pair(
+    toks: &[Tok],
+    open: usize,
+    end: usize,
+    o: char,
+    c: char,
+) -> Option<usize> {
     let mut depth = 0i32;
     for (j, t) in toks.iter().enumerate().take(end).skip(open) {
         if t.is_punct(o) {

@@ -11,8 +11,11 @@
 //! `ITRUST_THREADS`.
 //!
 //! Concurrency contract: a shard's mutating operations are internally
-//! locked and safe to call from any thread, but *deterministic ordering*
-//! (WAL frame order, audit chain order) is the caller's job — the
+//! locked and safe to call from any thread. A put is one critical section
+//! under the shard's catalog lock, from the existence check through the
+//! audit append, so a record is written at most once. *Deterministic
+//! ordering* across puts (WAL frame order, audit chain order) is the
+//! caller's job — the
 //! [`crate::executor::ServiceExecutor`] serializes each shard's operations
 //! within a tick while running distinct shards in parallel over
 //! `itrust-par`.
@@ -193,27 +196,28 @@ impl Shard {
     ///
     /// The WAL frame is appended before the store write (redo-log
     /// discipline) and the ingest lands in the shard's audit chain at
-    /// `now_ms`.
+    /// `now_ms`. The catalog write lock is held from the existence check
+    /// through the audit append, so two racing puts of one key cannot both
+    /// pass the check. The catalog is the shard's outermost lock: `get`,
+    /// `fixity_root` and `object_count` take it alone, `verify` never.
     pub fn put(&self, tenant: &str, key: &str, payload: Bytes, now_ms: u64) -> Result<PutOutcome> {
         let digest = sha256(&payload);
         let scoped = (tenant.to_string(), key.to_string());
-        {
-            let catalog = self.catalog.read();
-            if let Some(existing) = catalog.get(&scoped) {
-                if *existing == digest {
-                    return Ok(PutOutcome { digest, deduplicated: true });
-                }
-                return Err(Error::InvariantViolation(format!(
-                    "key {tenant}/{key} already holds different content (records are immutable)"
-                )));
+        let mut catalog = self.catalog.write();
+        if let Some(existing) = catalog.get(&scoped) {
+            if *existing == digest {
+                return Ok(PutOutcome { digest, deduplicated: true });
             }
+            return Err(Error::InvariantViolation(format!(
+                "key {tenant}/{key} already holds different content (records are immutable)"
+            )));
         }
         if let Some(wal) = &self.wal {
             wal.append(&encode_frame(tenant, key, &digest, &payload))?;
         }
         let stored = self.store.put(payload)?;
         debug_assert_eq!(stored, digest);
-        self.catalog.write().insert(scoped, digest);
+        catalog.insert(scoped, digest);
         self.audit.append(
             now_ms,
             format!("tenant:{tenant}"),
@@ -612,6 +616,57 @@ mod tests {
             assert_eq!(sha256(&bytes), *d);
         }
         assert!(store.shards().iter().any(|s| s.wal_frames() > 0));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn racing_puts_of_one_key_admit_exactly_one() {
+        // Two writers put the same keys with their own bytes. Records are
+        // immutable, so exactly one put per key may succeed, the audit
+        // chain holds one ingest per object, and a reopen serves the bytes
+        // and fixity root the live store served.
+        const KEYS: usize = 2_000;
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("itrust-service-putrace-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ShardedConfig::durable(1, &dir, SyncPolicy::Never);
+        let payload = |writer: usize, i: usize| Bytes::from(format!("writer {writer} key {i}"));
+        let (live, live_roots) = {
+            let store = ShardedStore::open(&config, ObsCtx::null()).unwrap();
+            store.register_tenant("alpha", Quota::unlimited()).unwrap();
+            let barrier = std::sync::Barrier::new(2);
+            let wins: Vec<Vec<bool>> = std::thread::scope(|s| {
+                let writers: Vec<_> = (0..2)
+                    .map(|writer| {
+                        let (store, barrier) = (&store, &barrier);
+                        s.spawn(move || {
+                            barrier.wait();
+                            (0..KEYS)
+                                .map(|i| {
+                                    let key = format!("k{i}");
+                                    store.put("alpha", &key, payload(writer, i), 0).is_ok()
+                                })
+                                .collect()
+                        })
+                    })
+                    .collect();
+                writers.into_iter().map(|w| w.join().unwrap()).collect()
+            });
+            for (i, (a, b)) in wins[0].iter().zip(&wins[1]).enumerate() {
+                assert!(a ^ b, "key k{i}: exactly one put may succeed");
+            }
+            assert_eq!(store.object_count(), KEYS);
+            assert_eq!(store.shards()[0].audit_len(), store.object_count());
+            let live: Vec<Bytes> =
+                (0..KEYS).map(|i| store.get("alpha", &format!("k{i}")).unwrap()).collect();
+            (live, store.fixity_roots())
+        };
+        let store = ShardedStore::open(&config, ObsCtx::null()).unwrap();
+        store.register_tenant("alpha", Quota::unlimited()).unwrap();
+        for (i, bytes) in live.iter().enumerate() {
+            assert_eq!(&store.get("alpha", &format!("k{i}")).unwrap(), bytes, "key k{i}");
+        }
+        assert_eq!(store.fixity_roots(), live_roots);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
