@@ -13,6 +13,9 @@ fn main() {
         em.metric(&format!("table1.{fond}.ingest_mib_s"), r.ingest_mib_s)
             .metric(&format!("table1.{fond}.fixity_mib_s"), r.fixity_mib_s);
     }
+    for (policy, secs) in itrust_bench::harness::table1::wal_sync_ablation() {
+        em.metric(&format!("table1.wal_sync.{policy}_ms"), secs * 1e3);
+    }
     em.metric("table1.bytes_total", rows.iter().map(|r| r.bytes).sum::<u64>() as f64)
         .metric("table1.records_total", rows.iter().map(|r| r.records).sum::<usize>() as f64)
         .metric(

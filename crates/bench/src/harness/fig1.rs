@@ -2,7 +2,7 @@
 //! throughput across damage levels, plus the grid-resolution ablation for
 //! the signum detector called out in DESIGN.md §4.
 
-use perganet::corpus::{generate, CorpusConfig, Parchment};
+use perganet::corpus::{generate, CorpusConfig};
 use perganet::eval::{evaluate, PipelineEval};
 use perganet::pipeline::{PergaNet, TrainConfig};
 
@@ -56,33 +56,4 @@ pub fn run(obs: &itrust_obs::ObsCtx) -> (Vec<DamageRow>, f64, String) {
         ));
     }
     (rows, train_s, out)
-}
-
-/// A pre-trained small pipeline + test corpus for the Criterion inference
-/// bench (training is excluded from the timed region).
-pub fn trained_pipeline_small() -> (PergaNet, Vec<Parchment>) {
-    let train = generate(CorpusConfig { count: 100, damage: 0, seed: 21 });
-    let mut net = PergaNet::new(22);
-    net.train(
-        &train,
-        TrainConfig {
-            classifier_epochs: 4,
-            text_epochs: 5,
-            signum_epochs: 12,
-            lr: 0.005,
-            signum_lr: 0.002,
-        },
-    );
-    let test = generate(CorpusConfig { count: 16, damage: 1, seed: 23 });
-    (net, test)
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn trained_pipeline_builds() {
-        let (mut net, test) = super::trained_pipeline_small();
-        let analyses = net.analyze_batch(&test.iter().map(|p| p.image.clone()).collect::<Vec<_>>());
-        assert_eq!(analyses.len(), 16);
-    }
 }

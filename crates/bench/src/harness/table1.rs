@@ -6,7 +6,7 @@
 //! measurable experiment: accession each fond as TIFF-like blobs, check the
 //! accession receipt and a clean fixity sweep, and measure ingest and
 //! fixity-sweep throughput (reported in the run summary, not the table).
-//! The WAL group-commit ablation lives in the Criterion bench.
+//! [`wal_sync_ablation`] times the WAL sync policies (DESIGN.md §4).
 
 use archival_core::ingest::Repository;
 use archival_core::oais::{Sip, SubmissionItem};
@@ -16,6 +16,7 @@ use archival_core::record::{Classification, DocumentaryForm, Record};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trustdb::store::{MemoryBackend, ObjectStore};
+use trustdb::wal::{SyncPolicy, Wal};
 
 /// The paper's Table 1, verbatim: (fond, size in TB).
 pub const FONDS: [(&str, f64); 8] = [
@@ -124,6 +125,39 @@ pub fn run(obs: &itrust_obs::ObsCtx) -> (Vec<FondResult>, String) {
         rows.len()
     ));
     (rows, out)
+}
+
+/// WAL sync-policy ablation: seconds to append 64 frames of 4 KiB to a
+/// fresh scratch log under each policy. `Always` gets one append (and one
+/// fsync) per frame; `GroupCommit` and `Never` get one batch each.
+pub fn wal_sync_ablation() -> Vec<(&'static str, f64)> {
+    let frames: Vec<Vec<u8>> = (0..64).map(|i| vec![i as u8; 4096]).collect();
+    [
+        ("fsync_per_record", SyncPolicy::Always),
+        ("group_commit", SyncPolicy::GroupCommit),
+        ("no_sync", SyncPolicy::Never),
+    ]
+    .into_iter()
+    .map(|(name, policy)| {
+        let path =
+            std::env::temp_dir().join(format!("itrust-table1-wal-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let wal = Wal::open(&path, policy).expect("open scratch WAL");
+        let (_, secs) = super::timed(|| match policy {
+            SyncPolicy::Always => {
+                for f in &frames {
+                    wal.append(f).expect("append frame");
+                }
+            }
+            _ => {
+                wal.append_batch(frames.iter().map(|f| f.as_slice())).expect("append batch");
+            }
+        });
+        drop(wal);
+        let _ = std::fs::remove_file(&path);
+        (name, secs)
+    })
+    .collect()
 }
 
 #[cfg(test)]

@@ -2,9 +2,8 @@
 //!
 //! One module per experiment in DESIGN.md §3. Each exposes a `run()`
 //! returning a printable report (the same rows the paper's exhibit implies)
-//! plus the structured results, so the Criterion benches
-//! (`benches/*.rs`) and the printable binaries (`src/bin/*.rs`) share one
-//! implementation.
+//! plus the structured results, which the printable binaries
+//! (`src/bin/*.rs`) write to `results/`.
 //!
 //! | module | exhibit |
 //! |--------|---------|
