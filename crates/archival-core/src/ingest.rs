@@ -126,7 +126,7 @@ impl<B: Backend> Repository<B> {
         }
         drop(persist_span);
         let _seal_span = itrust_obs::span!(obs, "archival.ingest.seal");
-        let tree = MerkleTree::from_leaves_with_obs(
+        let tree = MerkleTree::from_leaves(
             entries.iter().map(|e| e.record.content_digest.0.to_vec()),
             obs,
         )

@@ -156,7 +156,10 @@ impl AipManifest {
 
     /// Rebuild the Merkle tree over content digests (leaf = digest bytes).
     pub fn merkle_tree(&self) -> Option<MerkleTree> {
-        MerkleTree::from_leaves(self.records.iter().map(|e| e.record.content_digest.0.to_vec()))
+        MerkleTree::from_leaves(
+            self.records.iter().map(|e| e.record.content_digest.0.to_vec()),
+            &itrust_obs::ObsCtx::null(),
+        )
     }
 
     /// Produce an inclusion proof that record `id` belongs to this AIP.
@@ -333,6 +336,7 @@ mod tests {
             .collect();
         let tree = MerkleTree::from_leaves(
             entries.iter().map(|e| e.record.content_digest.0.to_vec()),
+            &itrust_obs::ObsCtx::null(),
         )
         .unwrap();
         AipManifest {
@@ -410,6 +414,7 @@ mod tests {
         }];
         let tree = MerkleTree::from_leaves(
             entries.iter().map(|e| e.record.content_digest.0.to_vec()),
+            &itrust_obs::ObsCtx::null(),
         )
         .unwrap();
         let m = AipManifest {

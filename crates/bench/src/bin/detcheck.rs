@@ -31,7 +31,7 @@ fn sim_digest(regions: usize, duration_ms: u64, seed: u64) -> String {
         duration_ms,
         seed,
     );
-    sha256(&serde_json::to_vec(&run(&config)).unwrap()).to_hex()
+    sha256(&serde_json::to_vec(&run(&config, &itrust_obs::ObsCtx::null())).unwrap()).to_hex()
 }
 
 fn conv_digests() -> Vec<(String, String)> {

@@ -4,7 +4,7 @@
 use escs::external::ExternalTimeline;
 use escs::graph::Topology;
 use escs::replay::divergence;
-use escs::sim::{run_with_obs as simulate, SimConfig};
+use escs::sim::{run as simulate, SimConfig};
 
 /// Result row for one (size, load) cell.
 #[derive(Debug, Clone)]

@@ -34,13 +34,13 @@ fn split(pool: &[LabeledDoc], fraction: f64, seed: u64) -> (Vec<LabeledDoc>, Vec
 pub fn run(obs: &itrust_obs::ObsCtx) -> (Vec<FractionRow>, String) {
     let pool = generate_corpus(800, 0.3, 0.2, 1);
     let test = generate_corpus(400, 0.3, 0.2, 2);
-    let full = SensitivityModel::fit_with_obs(&pool, &[], FitMode::Supervised, obs);
+    let full = SensitivityModel::fit(&pool, &[], FitMode::Supervised, obs);
     let full_acc = full.accuracy(&test);
     let mut rows = Vec::new();
     for &fraction in &[0.01, 0.02, 0.05, 0.10] {
         let (labeled, unlabeled) = split(&pool, fraction, 42);
-        let supervised = SensitivityModel::fit_with_obs(&labeled, &[], FitMode::Supervised, obs);
-        let semi = SensitivityModel::fit_with_obs(&labeled, &unlabeled, FitMode::SemiSupervised, obs);
+        let supervised = SensitivityModel::fit(&labeled, &[], FitMode::Supervised, obs);
+        let semi = SensitivityModel::fit(&labeled, &unlabeled, FitMode::SemiSupervised, obs);
         rows.push(FractionRow {
             labeled_fraction: fraction,
             labeled: labeled.len(),

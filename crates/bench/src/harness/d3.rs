@@ -2,7 +2,7 @@
 //! recall across positive-prevalence levels, plus the seed/batch ablation.
 
 use itrust_core::sensitivity::generate_corpus;
-use itrust_core::tar::{linear_review_with_obs, tar_review, tar_review_with_obs, TarConfig};
+use itrust_core::tar::{linear_review, tar_review, TarConfig};
 
 /// Result row for one prevalence level.
 #[derive(Debug, Clone)]
@@ -28,8 +28,8 @@ pub fn run(obs: &itrust_obs::ObsCtx) -> (Vec<PrevalenceRow>, String) {
     let mut rows = Vec::new();
     for &prevalence in &[0.02, 0.05, 0.10] {
         let corpus = generate_corpus(1000, prevalence, 0.1, 5_000 + (prevalence * 100.0) as u64);
-        let linear = linear_review_with_obs(&corpus, obs);
-        let tar = tar_review_with_obs(&corpus, TarConfig::default(), obs);
+        let linear = linear_review(&corpus, obs);
+        let tar = tar_review(&corpus, TarConfig::default(), obs);
         rows.push(PrevalenceRow {
             prevalence,
             corpus: corpus.len(),
@@ -64,7 +64,8 @@ pub fn seed_batch_ablation() -> (Vec<(usize, usize, usize)>, String) {
     let corpus = generate_corpus(1000, 0.05, 0.1, 6_000);
     let mut rows = Vec::new();
     for &(seed_size, batch_size) in &[(10usize, 10usize), (20, 20), (50, 50), (20, 100)] {
-        let tar = tar_review(&corpus, TarConfig { seed_size, batch_size, seed: 9 });
+        let config = TarConfig { seed_size, batch_size, seed: 9 };
+        let tar = tar_review(&corpus, config, &itrust_obs::ObsCtx::null());
         rows.push((seed_size, batch_size, tar.docs_to_recall(0.95).unwrap_or(1000)));
     }
     let mut out =

@@ -31,7 +31,7 @@ pub struct TwinRow {
 pub fn run(obs: &itrust_obs::ObsCtx) -> (Vec<TwinRow>, String) {
     let mut rows = Vec::new();
     for &(buildings, sensors) in &[(1usize, 1usize), (7, 1), (7, 2), (20, 2)] {
-        let twin = DigitalTwin::synthetic_with_obs("Campus", buildings, sensors, 3_600_000, 11, obs);
+        let twin = DigitalTwin::synthetic("Campus", buildings, sensors, 3_600_000, 11, obs);
         let repo =
             Repository::new(ObjectStore::new(MemoryBackend::new()).with_obs(obs.clone()));
         let (receipt, archive_s) =

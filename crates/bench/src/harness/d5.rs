@@ -98,7 +98,7 @@ pub fn verify_ablation(n: usize) -> VerifyAblation {
     let (_, chain_verify_s) = super::timed(|| audit.verify_chain().unwrap());
 
     let leaves: Vec<Vec<u8>> = (0..n).map(|i| format!("record-{i}").into_bytes()).collect();
-    let tree = MerkleTree::from_leaves(leaves.iter()).unwrap();
+    let tree = MerkleTree::from_leaves(leaves.iter(), &itrust_obs::ObsCtx::null()).unwrap();
     let root = tree.root();
     let proof = tree.prove(n / 2).unwrap();
     let proof_len = proof.path.len();

@@ -3,7 +3,7 @@
 //! annotator's error rate varies (§3.2's "manual annotations as a form of
 //! continuous learning").
 
-use perganet::continuous::{continuous_learning_with_obs, RoundOutcome, SimulatedAnnotator};
+use perganet::continuous::{continuous_learning, RoundOutcome, SimulatedAnnotator};
 use perganet::corpus::{generate, CorpusConfig};
 
 /// Trajectory for one annotator error rate.
@@ -25,7 +25,7 @@ pub fn run(obs: &itrust_obs::ObsCtx) -> (Vec<Trajectory>, String) {
     let mut trajectories = Vec::new();
     for &error_rate in &[0.0, 0.05, 0.20] {
         let mut annotator = SimulatedAnnotator::new(error_rate, 42);
-        let rounds = continuous_learning_with_obs(
+        let rounds = continuous_learning(
             7, &seed_set, &batches, &held_out, &mut annotator, 6, 0.005, obs,
         );
         trajectories.push(Trajectory { error_rate, rounds });

@@ -3,7 +3,7 @@
 //! swept over model scale.
 
 use digital_twin::bim::BimModel;
-use digital_twin::integration::{integrate_all_with_obs, synthetic_source, SourceKind};
+use digital_twin::integration::{integrate_all, synthetic_source, SourceKind};
 
 /// Result row for one model scale.
 #[derive(Debug, Clone)]
@@ -33,7 +33,7 @@ pub fn run(obs: &itrust_obs::ObsCtx) -> (Vec<ScaleRow>, String) {
             .map(|(i, &k)| synthetic_source(&model, k, 0.85, 5, 3, 100 + i as u64))
             .collect();
         let records_in: usize = sources.iter().map(|s| s.records.len()).sum();
-        let (reports, secs) = super::timed(|| integrate_all_with_obs(&mut model, &sources, obs));
+        let (reports, secs) = super::timed(|| integrate_all(&mut model, &sources, obs));
         rows.push(ScaleRow {
             elements: model.element_count(),
             records_in,

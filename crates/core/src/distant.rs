@@ -132,7 +132,12 @@ pub fn fit_distant(texts: &[String], functions: &[LabelingFunction]) -> Option<S
         .filter(|(_, l)| l.is_none())
         .map(|(t, _)| t.clone())
         .collect();
-    Some(SensitivityModel::fit(&labeled, &unlabeled, FitMode::SemiSupervised))
+    Some(SensitivityModel::fit(
+        &labeled,
+        &unlabeled,
+        FitMode::SemiSupervised,
+        &itrust_obs::ObsCtx::null(),
+    ))
 }
 
 #[cfg(test)]

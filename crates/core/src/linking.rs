@@ -20,15 +20,10 @@ pub struct RecordLinker {
 }
 
 impl RecordLinker {
-    /// Build from `(record id, descriptive text)` pairs. Duplicate ids are
-    /// rejected.
-    pub fn build(records: &[(String, String)]) -> Result<RecordLinker, String> {
-        Self::build_with_obs(records, itrust_obs::ObsCtx::null())
-    }
-
-    /// [`RecordLinker::build`], recording build/cluster spans into `obs`
-    /// (the linker keeps the context for later clustering calls).
-    pub fn build_with_obs(
+    /// Build from `(record id, descriptive text)` pairs, recording
+    /// build/cluster spans into `obs` (the linker keeps the context for
+    /// later clustering calls). Duplicate ids are rejected.
+    pub fn build(
         records: &[(String, String)],
         obs: itrust_obs::ObsCtx,
     ) -> Result<RecordLinker, String> {
@@ -131,6 +126,7 @@ impl RecordLinker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use itrust_obs::ObsCtx;
 
     fn records() -> Vec<(String, String)> {
         vec![
@@ -144,7 +140,7 @@ mod tests {
 
     #[test]
     fn similar_finds_topical_neighbors() {
-        let linker = RecordLinker::build(&records()).unwrap();
+        let linker = RecordLinker::build(&records(), ObsCtx::null()).unwrap();
         let similar = linker.similar("war-1", 2).unwrap();
         assert_eq!(similar.len(), 2);
         assert!(similar[0].0.starts_with("war-2"));
@@ -155,7 +151,7 @@ mod tests {
 
     #[test]
     fn similar_excludes_self_and_handles_unknown() {
-        let linker = RecordLinker::build(&records()).unwrap();
+        let linker = RecordLinker::build(&records(), ObsCtx::null()).unwrap();
         let similar = linker.similar("war-1", 10).unwrap();
         assert_eq!(similar.len(), 4);
         assert!(!similar.iter().any(|(id, _)| id == "war-1"));
@@ -164,7 +160,7 @@ mod tests {
 
     #[test]
     fn identical_texts_have_similarity_one() {
-        let linker = RecordLinker::build(&records()).unwrap();
+        let linker = RecordLinker::build(&records(), ObsCtx::null()).unwrap();
         let similar = linker.similar("war-2", 1).unwrap();
         assert_eq!(similar[0].0, "war-2-copy");
         assert!((similar[0].1 - 1.0).abs() < 1e-5);
@@ -172,7 +168,7 @@ mod tests {
 
     #[test]
     fn duplicate_clusters_group_near_identical() {
-        let linker = RecordLinker::build(&records()).unwrap();
+        let linker = RecordLinker::build(&records(), ObsCtx::null()).unwrap();
         let clusters = linker.duplicate_clusters(0.99);
         // war-2 and war-2-copy merge; everything else is a singleton.
         assert_eq!(clusters.len(), 4);
@@ -181,7 +177,7 @@ mod tests {
 
     #[test]
     fn low_threshold_merges_topics_high_threshold_isolates() {
-        let linker = RecordLinker::build(&records()).unwrap();
+        let linker = RecordLinker::build(&records(), ObsCtx::null()).unwrap();
         let loose = linker.duplicate_clusters(0.1);
         let strict = linker.duplicate_clusters(1.1); // impossible threshold
         assert!(loose.len() < 5);
@@ -195,12 +191,12 @@ mod tests {
     fn duplicate_ids_rejected() {
         let mut recs = records();
         recs.push(("war-1".into(), "something".into()));
-        assert!(RecordLinker::build(&recs).is_err());
+        assert!(RecordLinker::build(&recs, ObsCtx::null()).is_err());
     }
 
     #[test]
     fn empty_linker() {
-        let linker = RecordLinker::build(&[]).unwrap();
+        let linker = RecordLinker::build(&[], ObsCtx::null()).unwrap();
         assert!(linker.is_empty());
         assert_eq!(linker.duplicate_clusters(0.5).len(), 0);
     }

@@ -239,7 +239,8 @@ impl ITrustPlatform {
                 }
             }
         }
-        RecordLinker::build(&records).map_err(archival_core::ArchivalError::Codec)
+        RecordLinker::build(&records, itrust_obs::ObsCtx::null())
+            .map_err(archival_core::ArchivalError::Codec)
     }
 }
 
@@ -247,6 +248,7 @@ impl ITrustPlatform {
 mod tests {
     use super::*;
     use crate::sensitivity::{generate_corpus, FitMode};
+    use itrust_obs::ObsCtx;
 
     fn docs_from_corpus(n: usize, seed: u64) -> Vec<(String, String, String)> {
         generate_corpus(n, 0.3, 0.1, seed)
@@ -275,7 +277,7 @@ mod tests {
         assert_eq!(receipt.record_count, 40);
 
         let train = generate_corpus(400, 0.3, 0.1, 2);
-        let model = SensitivityModel::fit(&train, &[], FitMode::Supervised);
+        let model = SensitivityModel::fit(&train, &[], FitMode::Supervised, &ObsCtx::null());
         let (results, guard) = platform
             .sensitivity_review(&receipt.aip_id, &model, 2_000)
             .unwrap();
@@ -323,7 +325,7 @@ mod tests {
             .ingest_documents("Office", &docs, Classification::Public, 1_000)
             .unwrap();
         let train = generate_corpus(400, 0.3, 0.0, 3);
-        let model = SensitivityModel::fit(&train, &[], FitMode::Supervised);
+        let model = SensitivityModel::fit(&train, &[], FitMode::Supervised, &ObsCtx::null());
         let aip = platform.repo().list_aips()[0].clone();
         let (results, _guard) = platform.sensitivity_review(&aip, &model, 2_000).unwrap();
         let by_id = |id: &str| results.iter().find(|r| r.record_id == id).unwrap().score;
@@ -398,7 +400,7 @@ mod tests {
     fn review_of_unknown_aip_errors() {
         let platform = ITrustPlatform::default();
         let train = generate_corpus(50, 0.3, 0.0, 4);
-        let model = SensitivityModel::fit(&train, &[], FitMode::Supervised);
+        let model = SensitivityModel::fit(&train, &[], FitMode::Supervised, &ObsCtx::null());
         assert!(platform.sensitivity_review("aip-404", &model, 1).is_err());
     }
 }

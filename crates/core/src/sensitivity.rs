@@ -98,13 +98,8 @@ pub enum FitMode {
 
 impl SensitivityModel {
     /// Fit on labeled docs, optionally exploiting an unlabeled pool via
-    /// self-training (confidence 0.9, ≤ 10 rounds).
-    pub fn fit(labeled: &[LabeledDoc], unlabeled: &[String], mode: FitMode) -> SensitivityModel {
-        Self::fit_with_obs(labeled, unlabeled, mode, &itrust_obs::ObsCtx::null())
-    }
-
-    /// [`SensitivityModel::fit`], timed into `obs`.
-    pub fn fit_with_obs(
+    /// self-training (confidence 0.9, ≤ 10 rounds), timed into `obs`.
+    pub fn fit(
         labeled: &[LabeledDoc],
         unlabeled: &[String],
         mode: FitMode,
@@ -164,6 +159,7 @@ impl SensitivityModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use itrust_obs::ObsCtx;
 
     #[test]
     fn corpus_prevalence_and_determinism() {
@@ -178,7 +174,7 @@ mod tests {
     fn supervised_model_separates_classes() {
         let train = generate_corpus(400, 0.3, 0.1, 2);
         let test = generate_corpus(200, 0.3, 0.1, 3);
-        let model = SensitivityModel::fit(&train, &[], FitMode::Supervised);
+        let model = SensitivityModel::fit(&train, &[], FitMode::Supervised, &ObsCtx::null());
         let acc = model.accuracy(&test);
         assert!(acc > 0.9, "accuracy {acc}");
     }
@@ -186,7 +182,7 @@ mod tests {
     #[test]
     fn scores_are_probabilities_and_ordered_by_content() {
         let train = generate_corpus(300, 0.3, 0.0, 4);
-        let model = SensitivityModel::fit(&train, &[], FitMode::Supervised);
+        let model = SensitivityModel::fit(&train, &[], FitMode::Supervised, &ObsCtx::null());
         let scores = model.score(&[
             "patient diagnosis psychiatric classified informant".to_string(),
             "meeting agenda budget schedule committee".to_string(),
@@ -204,8 +200,9 @@ mod tests {
         let test = generate_corpus(300, 0.3, 0.15, 6);
         let labeled: Vec<LabeledDoc> = full.iter().take(16).cloned().collect();
         let unlabeled: Vec<String> = full.iter().skip(16).map(|d| d.text.clone()).collect();
-        let supervised = SensitivityModel::fit(&labeled, &[], FitMode::Supervised);
-        let semi = SensitivityModel::fit(&labeled, &unlabeled, FitMode::SemiSupervised);
+        let supervised = SensitivityModel::fit(&labeled, &[], FitMode::Supervised, &ObsCtx::null());
+        let semi =
+            SensitivityModel::fit(&labeled, &unlabeled, FitMode::SemiSupervised, &ObsCtx::null());
         let acc_sup = supervised.accuracy(&test);
         let acc_semi = semi.accuracy(&test);
         assert!(
@@ -220,9 +217,11 @@ mod tests {
         let clean_test = generate_corpus(200, 0.3, 0.0, 8);
         let noisy_train = generate_corpus(400, 0.3, 0.9, 7);
         let noisy_test = generate_corpus(200, 0.3, 0.9, 8);
-        let clean_acc = SensitivityModel::fit(&clean_train, &[], FitMode::Supervised)
+        let clean_acc =
+            SensitivityModel::fit(&clean_train, &[], FitMode::Supervised, &ObsCtx::null())
             .accuracy(&clean_test);
-        let noisy_acc = SensitivityModel::fit(&noisy_train, &[], FitMode::Supervised)
+        let noisy_acc =
+            SensitivityModel::fit(&noisy_train, &[], FitMode::Supervised, &ObsCtx::null())
             .accuracy(&noisy_test);
         assert!(clean_acc >= noisy_acc, "clean {clean_acc} vs noisy {noisy_acc}");
     }
@@ -230,6 +229,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "labeled")]
     fn fit_requires_labeled_data() {
-        SensitivityModel::fit(&[], &[], FitMode::Supervised);
+        SensitivityModel::fit(&[], &[], FitMode::Supervised, &ObsCtx::null());
     }
 }

@@ -82,13 +82,8 @@ fn recall_curve(corpus: &[LabeledDoc], order: &[usize]) -> (Vec<f64>, usize) {
     (curve, total)
 }
 
-/// Baseline: review in corpus (shelf) order.
-pub fn linear_review(corpus: &[LabeledDoc]) -> ReviewOutcome {
-    linear_review_with_obs(corpus, &itrust_obs::ObsCtx::null())
-}
-
-/// [`linear_review`], timed into `obs`.
-pub fn linear_review_with_obs(corpus: &[LabeledDoc], obs: &itrust_obs::ObsCtx) -> ReviewOutcome {
+/// Baseline: review in corpus (shelf) order, timed into `obs`.
+pub fn linear_review(corpus: &[LabeledDoc], obs: &itrust_obs::ObsCtx) -> ReviewOutcome {
     let _span = itrust_obs::span!(obs, "core.tar.linear_review");
     let order: Vec<usize> = (0..corpus.len()).collect();
     let (recall_curve, total_positives) = recall_curve(corpus, &order);
@@ -98,14 +93,9 @@ pub fn linear_review_with_obs(corpus: &[LabeledDoc], obs: &itrust_obs::ObsCtx) -
 /// TAR (continuous active learning) review.
 ///
 /// The oracle is the corpus's own labels — each "review" reveals one true
-/// label, exactly as a human reviewer would.
-pub fn tar_review(corpus: &[LabeledDoc], config: TarConfig) -> ReviewOutcome {
-    tar_review_with_obs(corpus, config, &itrust_obs::ObsCtx::null())
-}
-
-/// [`tar_review`], recording the review span and document counter into
-/// `obs`.
-pub fn tar_review_with_obs(
+/// label, exactly as a human reviewer would. The review span and document
+/// counter are recorded into `obs`.
+pub fn tar_review(
     corpus: &[LabeledDoc],
     config: TarConfig,
     obs: &itrust_obs::ObsCtx,
@@ -178,11 +168,12 @@ pub fn tar_review_with_obs(
 mod tests {
     use super::*;
     use crate::sensitivity::generate_corpus;
+    use itrust_obs::ObsCtx;
 
     #[test]
     fn linear_review_reaches_full_recall_at_the_end() {
         let corpus = generate_corpus(300, 0.1, 0.1, 1);
-        let outcome = linear_review(&corpus);
+        let outcome = linear_review(&corpus, &ObsCtx::null());
         assert_eq!(outcome.review_order.len(), 300);
         assert!((outcome.recall_curve.last().unwrap() - 1.0).abs() < 1e-12);
         // Linear recall at 50% of docs ≈ 50% of positives (±).
@@ -194,8 +185,8 @@ mod tests {
     fn tar_beats_linear_review_substantially() {
         // The D3 headline: TAR reaches 95% recall reviewing far fewer docs.
         let corpus = generate_corpus(1000, 0.08, 0.1, 2);
-        let linear = linear_review(&corpus);
-        let tar = tar_review(&corpus, TarConfig::default());
+        let linear = linear_review(&corpus, &ObsCtx::null());
+        let tar = tar_review(&corpus, TarConfig::default(), &ObsCtx::null());
         let linear_95 = linear.docs_to_recall(0.95).unwrap();
         let tar_95 = tar.docs_to_recall(0.95).unwrap();
         assert!(
@@ -209,7 +200,8 @@ mod tests {
     #[test]
     fn tar_review_order_is_a_permutation() {
         let corpus = generate_corpus(200, 0.2, 0.1, 3);
-        let tar = tar_review(&corpus, TarConfig { seed_size: 10, batch_size: 25, seed: 4 });
+        let config = TarConfig { seed_size: 10, batch_size: 25, seed: 4 };
+        let tar = tar_review(&corpus, config, &ObsCtx::null());
         let mut order = tar.review_order.clone();
         order.sort_unstable();
         assert_eq!(order, (0..200).collect::<Vec<_>>());
@@ -218,7 +210,7 @@ mod tests {
     #[test]
     fn recall_curve_is_monotone() {
         let corpus = generate_corpus(300, 0.15, 0.2, 5);
-        let tar = tar_review(&corpus, TarConfig::default());
+        let tar = tar_review(&corpus, TarConfig::default(), &ObsCtx::null());
         for w in tar.recall_curve.windows(2) {
             assert!(w[1] >= w[0]);
         }
@@ -227,7 +219,7 @@ mod tests {
     #[test]
     fn docs_to_recall_thresholds() {
         let corpus = generate_corpus(300, 0.1, 0.1, 6);
-        let tar = tar_review(&corpus, TarConfig::default());
+        let tar = tar_review(&corpus, TarConfig::default(), &ObsCtx::null());
         let d80 = tar.docs_to_recall(0.8).unwrap();
         let d95 = tar.docs_to_recall(0.95).unwrap();
         assert!(d80 <= d95);
@@ -237,7 +229,8 @@ mod tests {
     #[test]
     fn corpus_without_positives_is_vacuous() {
         let corpus = generate_corpus(100, 0.0, 0.0, 7);
-        let outcome = tar_review(&corpus, TarConfig { seed_size: 5, batch_size: 10, seed: 8 });
+        let config = TarConfig { seed_size: 5, batch_size: 10, seed: 8 };
+        let outcome = tar_review(&corpus, config, &ObsCtx::null());
         assert_eq!(outcome.total_positives, 0);
         assert!(outcome.recall_curve.iter().all(|&r| r == 1.0));
     }
@@ -245,7 +238,7 @@ mod tests {
     #[test]
     fn rare_prevalence_still_converges() {
         let corpus = generate_corpus(800, 0.02, 0.1, 9);
-        let tar = tar_review(&corpus, TarConfig::default());
+        let tar = tar_review(&corpus, TarConfig::default(), &ObsCtx::null());
         assert!((tar.recall_curve.last().unwrap() - 1.0).abs() < 1e-12);
         let tar_95 = tar.docs_to_recall(0.95).unwrap();
         assert!(tar_95 < 800);
@@ -255,6 +248,6 @@ mod tests {
     #[should_panic(expected = "seed")]
     fn corpus_smaller_than_seed_rejected() {
         let corpus = generate_corpus(10, 0.5, 0.0, 10);
-        tar_review(&corpus, TarConfig { seed_size: 20, batch_size: 5, seed: 1 });
+        tar_review(&corpus, TarConfig { seed_size: 20, batch_size: 5, seed: 1 }, &ObsCtx::null());
     }
 }

@@ -10,7 +10,7 @@
 
 use crate::ams::AssetManagement;
 use crate::bim::BimModel;
-use crate::integration::{integrate_all_with_obs, synthetic_source, IntegrationReport, SourceKind};
+use crate::integration::{integrate_all, synthetic_source, IntegrationReport, SourceKind};
 use crate::paradata::{ParadataRegistry, ToolDescription, ToolKind};
 use crate::sensors::SensorNetwork;
 use crate::sync::{Direction, SyncLog};
@@ -50,20 +50,9 @@ impl DigitalTwin {
     /// Build a fully-populated synthetic twin: a campus BIM, six integrated
     /// source databases, a deployed sensor fleet with `telemetry_ms` of
     /// history, comfort-rule automation, sync events, and a complete
-    /// paradata registry. Deterministic in `seed`.
+    /// paradata registry. Deterministic in `seed`. Integration and sync
+    /// telemetry is recorded into `obs`.
     pub fn synthetic(
-        name: &str,
-        buildings: usize,
-        sensors_per_element: usize,
-        telemetry_ms: u64,
-        seed: u64,
-    ) -> DigitalTwin {
-        Self::synthetic_with_obs(name, buildings, sensors_per_element, telemetry_ms, seed, &itrust_obs::ObsCtx::null())
-    }
-
-    /// [`DigitalTwin::synthetic`], recording integration and sync telemetry
-    /// into `obs`.
-    pub fn synthetic_with_obs(
         name: &str,
         buildings: usize,
         sensors_per_element: usize,
@@ -114,7 +103,7 @@ impl DigitalTwin {
             .map(|(i, &k)| synthetic_source(&bim, k, 0.8, 1, 1, seed.wrapping_add(i as u64)))
             .collect();
         sources.push(bps_source);
-        let integration_reports = integrate_all_with_obs(&mut bim, &sources, obs);
+        let integration_reports = integrate_all(&mut bim, &sources, obs);
 
         let mut sensors = SensorNetwork::deploy(&bim.element_ids(), sensors_per_element);
         sensors.simulate(telemetry_ms, seed.wrapping_add(100));
@@ -123,7 +112,7 @@ impl DigitalTwin {
         let telemetry_blob =
             // itrust-lint: allow(panic-reachable) — plain in-memory telemetry structs serialize infallibly
             serde_json::to_vec(&sensors.history).expect("history serializable");
-        sync_log.record_with_obs(telemetry_ms, Direction::Inbound, "telemetry", &telemetry_blob, obs);
+        sync_log.record(telemetry_ms, Direction::Inbound, "telemetry", &telemetry_blob, obs);
 
         let mut ams = AssetManagement::new();
         let actions = ams.run_comfort_rules(&sensors, telemetry_ms, 19.0, 24.0);
@@ -131,7 +120,7 @@ impl DigitalTwin {
             let control_blob =
                 // itrust-lint: allow(panic-reachable) — plain in-memory control-log structs serialize infallibly
                 serde_json::to_vec(&ams.control_log).expect("control log serializable");
-            sync_log.record_with_obs(telemetry_ms, Direction::Outbound, "control", &control_blob, obs);
+            sync_log.record(telemetry_ms, Direction::Outbound, "control", &control_blob, obs);
         }
 
         let mut paradata = ParadataRegistry::new();
@@ -274,7 +263,7 @@ mod tests {
     use trustdb::store::{MemoryBackend, ObjectStore};
 
     fn twin() -> DigitalTwin {
-        DigitalTwin::synthetic("TestCampus", 2, 1, 300_000, 5)
+        DigitalTwin::synthetic("TestCampus", 2, 1, 300_000, 5, &itrust_obs::ObsCtx::null())
     }
 
     #[test]
@@ -290,7 +279,8 @@ mod tests {
     #[test]
     fn synthetic_twin_is_deterministic() {
         assert_eq!(twin(), twin());
-        let other = DigitalTwin::synthetic("TestCampus", 2, 1, 300_000, 6);
+        let other =
+            DigitalTwin::synthetic("TestCampus", 2, 1, 300_000, 6, &itrust_obs::ObsCtx::null());
         assert_ne!(twin(), other);
     }
 

@@ -106,14 +106,9 @@ pub struct IntegrationReport {
 
 /// Fold `source` into `model`. Existing attribute values win on conflict
 /// (the BIM is authoritative; conflicts are reported for human review —
-/// the archival stance on contradictory evidence).
-pub fn integrate(model: &mut BimModel, source: &SourceDatabase) -> IntegrationReport {
-    integrate_with_obs(model, source, &itrust_obs::ObsCtx::null())
-}
-
-/// [`integrate`], recording the merge span and record/conflict counters
-/// into `obs`.
-pub fn integrate_with_obs(
+/// the archival stance on contradictory evidence). The merge span and
+/// record/conflict counters are recorded into `obs`.
+pub fn integrate(
     model: &mut BimModel,
     source: &SourceDatabase,
     obs: &itrust_obs::ObsCtx,
@@ -178,18 +173,14 @@ pub fn integrate_with_obs(
     report
 }
 
-/// Integrate several sources in order; returns one report per source.
-pub fn integrate_all(model: &mut BimModel, sources: &[SourceDatabase]) -> Vec<IntegrationReport> {
-    sources.iter().map(|s| integrate(model, s)).collect()
-}
-
-/// [`integrate_all`] with telemetry recorded into `obs`.
-pub fn integrate_all_with_obs(
+/// Integrate several sources in order, recording telemetry into `obs`;
+/// returns one report per source.
+pub fn integrate_all(
     model: &mut BimModel,
     sources: &[SourceDatabase],
     obs: &itrust_obs::ObsCtx,
 ) -> Vec<IntegrationReport> {
-    sources.iter().map(|s| integrate_with_obs(model, s, obs)).collect()
+    sources.iter().map(|s| integrate(model, s, obs)).collect()
 }
 
 /// Generate a synthetic source database over a model: `coverage` of the
@@ -265,6 +256,7 @@ pub fn synthetic_source(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use itrust_obs::ObsCtx;
 
     fn model() -> BimModel {
         BimModel::synthetic_campus("c", 2, 2, 6)
@@ -274,7 +266,7 @@ mod tests {
     fn full_coverage_integrates_every_element() {
         let mut m = model();
         let src = synthetic_source(&m, SourceKind::VendorCatalog, 1.0, 0, 0, 1);
-        let report = integrate(&mut m, &src);
+        let report = integrate(&mut m, &src, &ObsCtx::null());
         assert_eq!(report.integrated, m.element_count());
         assert_eq!(report.unmatched, 0);
         // Every element gained vendor fields and a back-reference.
@@ -289,7 +281,7 @@ mod tests {
     fn orphans_and_blanks_reported_not_dropped_silently() {
         let mut m = model();
         let src = synthetic_source(&m, SourceKind::CostTable, 0.5, 3, 2, 2);
-        let report = integrate(&mut m, &src);
+        let report = integrate(&mut m, &src, &ObsCtx::null());
         assert_eq!(report.unmatched, 5);
         assert_eq!(report.mappings.len(), src.records.len());
         let unknown = report
@@ -322,7 +314,7 @@ mod tests {
             }],
         };
         let before = m.element(&ElementId::new("B0/S0/E0")).unwrap().attributes["material"].clone();
-        let report = integrate(&mut m, &src);
+        let report = integrate(&mut m, &src, &ObsCtx::null());
         assert_eq!(report.conflicts, 1);
         assert_eq!(report.mappings[0].conflicts.len(), 1);
         let after = &m.element(&ElementId::new("B0/S0/E0")).unwrap().attributes["material"];
@@ -344,7 +336,7 @@ mod tests {
                 fields,
             }],
         };
-        let report = integrate(&mut m, &src);
+        let report = integrate(&mut m, &src, &ObsCtx::null());
         assert_eq!(report.conflicts, 0);
         assert_eq!(report.integrated, 1);
     }
@@ -357,7 +349,7 @@ mod tests {
             .enumerate()
             .map(|(i, &k)| synthetic_source(&m, k, 0.8, 1, 1, 10 + i as u64))
             .collect();
-        let reports = integrate_all(&mut m, &sources);
+        let reports = integrate_all(&mut m, &sources, &ObsCtx::null());
         assert_eq!(reports.len(), 6);
         let total: usize = reports.iter().map(|r| r.integrated).sum();
         assert!(total > 0);

@@ -107,7 +107,7 @@ mod tests {
 
     fn preserved() -> (Repository<MemoryBackend>, DigitalTwin, String) {
         let repo = Repository::new(ObjectStore::new(MemoryBackend::new()));
-        let twin = DigitalTwin::synthetic("Campus", 3, 1, 300_000, 9);
+        let twin = DigitalTwin::synthetic("Campus", 3, 1, 300_000, 9, &itrust_obs::ObsCtx::null());
         let receipt = archive_twin(&repo, &twin, 1_000, "archivist").unwrap();
         (repo, twin, receipt.aip_id)
     }

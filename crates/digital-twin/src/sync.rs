@@ -48,20 +48,10 @@ impl SyncLog {
         Self::default()
     }
 
-    /// Record a crossing; the payload is hashed, not stored.
+    /// Record a crossing; the payload is hashed, not stored. Timed into
+    /// `obs` (the log itself is a plain serializable value, so it does not
+    /// carry a context).
     pub fn record(
-        &mut self,
-        timestamp_ms: u64,
-        direction: Direction,
-        channel: impl Into<String>,
-        payload: &[u8],
-    ) -> &SyncEvent {
-        self.record_with_obs(timestamp_ms, direction, channel, payload, &itrust_obs::ObsCtx::null())
-    }
-
-    /// [`SyncLog::record`], timed into `obs` (the log itself is a plain
-    /// serializable value, so it does not carry a context).
-    pub fn record_with_obs(
         &mut self,
         timestamp_ms: u64,
         direction: Direction,
@@ -120,14 +110,15 @@ impl SyncLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use itrust_obs::ObsCtx;
 
     #[test]
     fn record_and_query() {
         let mut log = SyncLog::new();
         assert!(log.is_empty());
-        log.record(100, Direction::Inbound, "telemetry", b"batch-1");
-        log.record(200, Direction::Outbound, "control", b"setpoint 21");
-        log.record(300, Direction::Inbound, "telemetry", b"batch-2");
+        log.record(100, Direction::Inbound, "telemetry", b"batch-1", &ObsCtx::null());
+        log.record(200, Direction::Outbound, "control", b"setpoint 21", &ObsCtx::null());
+        log.record(300, Direction::Inbound, "telemetry", b"batch-2", &ObsCtx::null());
         assert_eq!(log.len(), 3);
         assert_eq!(log.last_inbound_ms(), Some(300));
         assert_eq!(log.events()[1].direction, Direction::Outbound);
@@ -138,7 +129,7 @@ mod tests {
     #[test]
     fn payload_verification() {
         let mut log = SyncLog::new();
-        log.record(1, Direction::Inbound, "telemetry", b"the batch");
+        log.record(1, Direction::Inbound, "telemetry", b"the batch", &ObsCtx::null());
         assert!(log.verify_payload(0, b"the batch"));
         assert!(!log.verify_payload(0, b"a different batch"));
         assert!(!log.verify_payload(9, b"the batch"));
@@ -147,21 +138,21 @@ mod tests {
     #[test]
     fn no_inbound_means_no_staleness_marker() {
         let mut log = SyncLog::new();
-        log.record(1, Direction::Outbound, "control", b"x");
+        log.record(1, Direction::Outbound, "control", b"x", &ObsCtx::null());
         assert_eq!(log.last_inbound_ms(), None);
     }
 
     #[test]
     fn payload_sizes_recorded() {
         let mut log = SyncLog::new();
-        log.record(1, Direction::Inbound, "telemetry", &[0u8; 1234]);
+        log.record(1, Direction::Inbound, "telemetry", &[0u8; 1234], &ObsCtx::null());
         assert_eq!(log.events()[0].payload_bytes, 1234);
     }
 
     #[test]
     fn serde_round_trip() {
         let mut log = SyncLog::new();
-        log.record(1, Direction::Inbound, "telemetry", b"x");
+        log.record(1, Direction::Inbound, "telemetry", b"x", &ObsCtx::null());
         let json = serde_json::to_string(&log).unwrap();
         let back: SyncLog = serde_json::from_str(&json).unwrap();
         assert_eq!(back, log);

@@ -32,7 +32,7 @@ proptest! {
         let mut model = BimModel::synthetic_campus("c", 2, 2, 5);
         let src = synthetic_source(&model, SourceKind::CostTable, coverage, orphans, blanks, seed);
         let total = src.records.len();
-        let report = integrate(&mut model, &src);
+        let report = integrate(&mut model, &src, &itrust_obs::ObsCtx::null());
         prop_assert_eq!(report.integrated + report.unmatched, total);
         prop_assert_eq!(report.mappings.len(), total);
         prop_assert!(report.unmatched >= orphans + blanks);
@@ -49,7 +49,7 @@ proptest! {
     ) {
         let mut log = SyncLog::new();
         for (i, p) in payloads.iter().enumerate() {
-            log.record(i as u64, Direction::Inbound, "telemetry", p);
+            log.record(i as u64, Direction::Inbound, "telemetry", p, &itrust_obs::ObsCtx::null());
         }
         for (i, p) in payloads.iter().enumerate() {
             prop_assert!(log.verify_payload(i as u64, p));
@@ -64,7 +64,8 @@ proptest! {
     #[test]
     fn twin_components_round_trip(buildings in 1usize..3, seed in any::<u64>()) {
         use digital_twin::archive::{DigitalTwin, COMPONENTS};
-        let twin = DigitalTwin::synthetic("T", buildings, 1, 120_000, seed);
+        let twin =
+            DigitalTwin::synthetic("T", buildings, 1, 120_000, seed, &itrust_obs::ObsCtx::null());
         for component in COMPONENTS {
             let bytes = twin.component_bytes(component).unwrap();
             prop_assert!(!bytes.is_empty());

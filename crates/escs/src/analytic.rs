@@ -111,7 +111,7 @@ mod tests {
         );
         config.handling_lognormal = (handling_mean_ms.ln(), 0.05);
         config.mean_patience_ms = 1e12;
-        let output = run(&config);
+        let output = run(&config, &itrust_obs::ObsCtx::null());
 
         let lambda_per_ms = 2.0 / 60_000.0;
         let mu_per_ms = 1.0 / handling_mean_ms;
@@ -142,7 +142,7 @@ mod tests {
         );
         config.handling_lognormal = (handling_mean_ms.ln(), 0.05);
         config.mean_patience_ms = 1e12;
-        let output = run(&config);
+        let output = run(&config, &itrust_obs::ObsCtx::null());
         let waited = output
             .calls
             .iter()

@@ -230,7 +230,7 @@ mod tests {
             600_000,
             77,
         );
-        let output = crate::sim::run(&config);
+        let output = crate::sim::run(&config, &itrust_obs::ObsCtx::null());
         let dsa = DataSharingAgreement {
             id: "dsa-1".into(),
             owner: "County E-911".into(),

@@ -15,7 +15,7 @@
 use crate::call::{CallRecord, CallStats};
 use crate::graph::Topology;
 use crate::preserve::{load_run, PreserveError, PreservedRun};
-use crate::sim::{run, run_with_obs, SimConfig, SimOutput};
+use crate::sim::{run, SimConfig, SimOutput};
 use archival_core::ingest::Repository;
 use trustdb::store::Backend;
 
@@ -66,22 +66,14 @@ pub fn replay_from_archive<B: Backend>(
     aip_id: &str,
 ) -> Result<ReplayReport, PreserveError> {
     let preserved = load_run(repo, aip_id)?;
-    Ok(replay_preserved_with_obs(&preserved, repo.obs()))
+    Ok(replay_preserved(&preserved, repo.obs()))
 }
 
-/// Replay an already-loaded preserved run.
-pub fn replay_preserved(preserved: &PreservedRun) -> ReplayReport {
-    replay_preserved_with_obs(preserved, &itrust_obs::ObsCtx::null())
-}
-
-/// [`replay_preserved`], recording telemetry (including the inner
-/// simulation's) into `obs`.
-pub fn replay_preserved_with_obs(
-    preserved: &PreservedRun,
-    obs: &itrust_obs::ObsCtx,
-) -> ReplayReport {
+/// Replay an already-loaded preserved run, recording telemetry (including
+/// the inner simulation's) into `obs`.
+pub fn replay_preserved(preserved: &PreservedRun, obs: &itrust_obs::ObsCtx) -> ReplayReport {
     let _span = itrust_obs::span!(obs, "escs.replay.preserved");
-    let replayed = run_with_obs(&preserved.config, obs);
+    let replayed = run(&preserved.config, obs);
     let report = ReplayReport {
         original_stats: preserved.stats.clone(),
         replayed_stats: replayed.stats.clone(),
@@ -98,7 +90,7 @@ pub fn replay_preserved_with_obs(
 /// Returns the counterfactual output.
 pub fn replay_modified(preserved: &PreservedRun, new_topology: Topology) -> SimOutput {
     let config = SimConfig { topology: new_topology, ..preserved.config.clone() };
-    run(&config)
+    run(&config, &itrust_obs::ObsCtx::null())
 }
 
 #[cfg(test)]
@@ -120,7 +112,7 @@ mod tests {
         };
         let config =
             SimConfig::with_defaults(Topology::single_city(), timeline, duration, 99);
-        let output = run(&config);
+        let output = run(&config, &itrust_obs::ObsCtx::null());
         let dsa = DataSharingAgreement {
             id: "dsa".into(),
             owner: "owner".into(),

@@ -193,14 +193,10 @@ struct PoolState {
 }
 
 /// Run the simulation to completion (arrivals stop at `duration_ms`; the
-/// event list then drains so every accepted call reaches a terminal state).
-pub fn run(config: &SimConfig) -> SimOutput {
-    run_with_obs(config, &itrust_obs::ObsCtx::null())
-}
-
-/// [`run`], recording telemetry (spans, dispatch counters, queue-depth
-/// high-water gauge) into `obs`.
-pub fn run_with_obs(config: &SimConfig, obs: &itrust_obs::ObsCtx) -> SimOutput {
+/// event list then drains so every accepted call reaches a terminal state),
+/// recording telemetry (spans, dispatch counters, queue-depth high-water
+/// gauge) into `obs`.
+pub fn run(config: &SimConfig, obs: &itrust_obs::ObsCtx) -> SimOutput {
     let _span = itrust_obs::span!(obs, "escs.sim.run");
     let problems = config.topology.validate();
     assert!(problems.is_empty(), "invalid topology: {problems:?}");
@@ -452,6 +448,7 @@ fn sample_category(rng: &mut StdRng) -> CallCategory {
 mod tests {
     use super::*;
     use crate::graph::Topology;
+    use itrust_obs::ObsCtx;
 
     fn hour_run(seed: u64) -> SimOutput {
         let config = SimConfig::with_defaults(
@@ -460,7 +457,7 @@ mod tests {
             3_600_000, // one hour
             seed,
         );
-        run(&config)
+        run(&config, &ObsCtx::null())
     }
 
     #[test]
@@ -545,18 +542,24 @@ mod tests {
     #[test]
     fn surge_increases_volume_and_delay() {
         let duration = 3_600_000u64;
-        let quiet = run(&SimConfig::with_defaults(
-            Topology::single_city(),
-            ExternalTimeline::quiet(),
-            duration,
-            5,
-        ));
-        let disaster = run(&SimConfig::with_defaults(
-            Topology::single_city(),
-            ExternalTimeline::disaster(duration),
-            duration,
-            5,
-        ));
+        let quiet = run(
+            &SimConfig::with_defaults(
+                Topology::single_city(),
+                ExternalTimeline::quiet(),
+                duration,
+                5,
+            ),
+            &ObsCtx::null(),
+        );
+        let disaster = run(
+            &SimConfig::with_defaults(
+                Topology::single_city(),
+                ExternalTimeline::disaster(duration),
+                duration,
+                5,
+            ),
+            &ObsCtx::null(),
+        );
         assert!(
             disaster.calls.len() as f64 > quiet.calls.len() as f64 * 1.3,
             "disaster {} vs quiet {}",
@@ -582,12 +585,10 @@ mod tests {
             p.overflow_threshold = 1;
         }
         let duration = 3_600_000;
-        let out = run(&SimConfig::with_defaults(
-            topology,
-            ExternalTimeline::disaster(duration),
-            duration,
-            11,
-        ));
+        let out = run(
+            &SimConfig::with_defaults(topology, ExternalTimeline::disaster(duration), duration, 11),
+            &ObsCtx::null(),
+        );
         assert!(
             out.stats.transferred > 0,
             "expected overflow transfers, stats {:?}",
@@ -597,12 +598,15 @@ mod tests {
 
     #[test]
     fn category_mix_roughly_matches_weights() {
-        let out = run(&SimConfig::with_defaults(
-            Topology::single_city(),
-            ExternalTimeline::quiet(),
-            36_000_000, // 10 hours for volume
-            13,
-        ));
+        let out = run(
+            &SimConfig::with_defaults(
+                Topology::single_city(),
+                ExternalTimeline::quiet(),
+                36_000_000, // 10 hours for volume
+                13,
+            ),
+            &ObsCtx::null(),
+        );
         let n = out.calls.len() as f64;
         let frac = |cat: CallCategory| {
             out.calls.iter().filter(|c| c.category == cat).count() as f64 / n
@@ -619,7 +623,7 @@ mod tests {
             600_000,
             21,
         );
-        let out = run(&config);
+        let out = run(&config, &ObsCtx::null());
         assert_eq!(out.provenance.engine, ENGINE_VERSION);
         assert_eq!(out.provenance.config_digest, config.digest().to_hex());
         assert_eq!(out.provenance.seed, 21);

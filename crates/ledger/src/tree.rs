@@ -193,6 +193,7 @@ impl<'a> PrefixView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use itrust_obs::ObsCtx;
     use trustdb::hash::sha256_leaf;
     use trustdb::merkle::MerkleTree;
 
@@ -214,7 +215,8 @@ mod tests {
         let mut inc = IncrementalMerkle::new();
         for (i, leaf) in all.iter().enumerate() {
             inc.push(*leaf);
-            let batch = MerkleTree::from_leaf_digests(all[..=i].to_vec()).expect("non-empty");
+            let batch = MerkleTree::from_leaf_digests(all[..=i].to_vec(), &ObsCtx::null())
+                .expect("non-empty");
             assert_eq!(inc.root().expect("non-empty"), batch.root(), "n={}", i + 1);
         }
     }
@@ -227,7 +229,8 @@ mod tests {
             inc.push(*leaf);
         }
         for n in 1..=all.len() {
-            let batch = MerkleTree::from_leaf_digests(all[..n].to_vec()).expect("non-empty");
+            let batch = MerkleTree::from_leaf_digests(all[..n].to_vec(), &ObsCtx::null())
+                .expect("non-empty");
             assert_eq!(inc.root_at(n).unwrap(), batch.root(), "prefix n={n}");
         }
     }
@@ -240,7 +243,8 @@ mod tests {
             inc.push(*leaf);
         }
         for n in 1..=all.len() {
-            let batch = MerkleTree::from_leaf_digests(all[..n].to_vec()).expect("non-empty");
+            let batch = MerkleTree::from_leaf_digests(all[..n].to_vec(), &ObsCtx::null())
+                .expect("non-empty");
             let root = batch.root();
             for i in 0..n {
                 let p = inc.prove_at(i, n).unwrap();

@@ -60,32 +60,10 @@ pub struct RoundOutcome {
 ///    predictions (simulating "manual tagging"); verified items join the
 ///    training pool; the model retrains from scratch on the grown pool.
 /// 3. Held-out accuracy is recorded after every round.
+///
+/// Round counters and the loop span are recorded into `obs`.
 #[allow(clippy::too_many_arguments)]
 pub fn continuous_learning(
-    seed: u64,
-    initial: &[Parchment],
-    incoming_batches: &[Vec<Parchment>],
-    held_out: &[Parchment],
-    annotator: &mut SimulatedAnnotator,
-    epochs: usize,
-    lr: f32,
-) -> Vec<RoundOutcome> {
-    continuous_learning_with_obs(
-        seed,
-        initial,
-        incoming_batches,
-        held_out,
-        annotator,
-        epochs,
-        lr,
-        &itrust_obs::ObsCtx::null(),
-    )
-}
-
-/// [`continuous_learning`], recording round counters and the loop span into
-/// `obs`.
-#[allow(clippy::too_many_arguments)]
-pub fn continuous_learning_with_obs(
     seed: u64,
     initial: &[Parchment],
     incoming_batches: &[Vec<Parchment>],
@@ -177,8 +155,16 @@ mod tests {
         ];
         let held_out = generate(CorpusConfig { count: 60, damage: 0, seed: 44 });
         let mut annotator = SimulatedAnnotator::new(0.0, 45);
-        let outcomes =
-            continuous_learning(46, &seed_set, &batches, &held_out, &mut annotator, 5, 0.005);
+        let outcomes = continuous_learning(
+            46,
+            &seed_set,
+            &batches,
+            &held_out,
+            &mut annotator,
+            5,
+            0.005,
+            &itrust_obs::ObsCtx::null(),
+        );
         assert_eq!(outcomes.len(), 3);
         assert_eq!(outcomes[0].pool_size, 30);
         assert_eq!(outcomes[2].pool_size, 150);
@@ -204,6 +190,7 @@ mod tests {
             &mut SimulatedAnnotator::new(0.0, 55),
             5,
             0.005,
+            &itrust_obs::ObsCtx::null(),
         );
         let noisy = continuous_learning(
             54,
@@ -213,6 +200,7 @@ mod tests {
             &mut SimulatedAnnotator::new(0.35, 55),
             5,
             0.005,
+            &itrust_obs::ObsCtx::null(),
         );
         let clean_final = clean.last().unwrap().held_out_accuracy;
         let noisy_final = noisy.last().unwrap().held_out_accuracy;

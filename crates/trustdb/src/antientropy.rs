@@ -312,7 +312,7 @@ impl IntentLog {
     /// Open (or create) the intent log at `path`, resuming the sequence
     /// counter after any frames already on disk.
     pub fn open(path: impl AsRef<Path>, obs: itrust_obs::ObsCtx) -> Result<Self> {
-        let wal = Wal::open_with_obs(path, SyncPolicy::GroupCommit, obs)?;
+        let wal = Wal::open(path, SyncPolicy::GroupCommit)?.with_obs(obs);
         let seq = wal.frame_count();
         Ok(IntentLog { wal, seq: AtomicU64::new(seq) })
     }
@@ -639,7 +639,7 @@ impl SetSummary {
             })
             .collect();
         // itrust-lint: allow(panic-reachable) — the leaf set has exactly SUMMARY_BUCKETS entries, never zero
-        let tree = MerkleTree::from_leaf_digests(leaves).unwrap();
+        let tree = MerkleTree::from_leaf_digests(leaves, &itrust_obs::ObsCtx::null()).unwrap();
         SetSummary { tree, buckets }
     }
 

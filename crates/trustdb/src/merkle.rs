@@ -81,37 +81,22 @@ pub struct MerkleTree {
 }
 
 impl MerkleTree {
-    /// Build from raw leaf payloads. Returns `None` for an empty batch
-    /// (an empty accession has no meaningful root).
-    pub fn from_leaves<I, B>(leaves: I) -> Option<Self>
-    where
-        I: IntoIterator<Item = B>,
-        B: AsRef<[u8]>,
-    {
-        Self::from_leaves_with_obs(leaves, &itrust_obs::ObsCtx::null())
-    }
-
-    /// [`MerkleTree::from_leaves`] recording build telemetry into `obs`.
-    pub fn from_leaves_with_obs<I, B>(leaves: I, obs: &itrust_obs::ObsCtx) -> Option<Self>
+    /// Build from raw leaf payloads, recording build telemetry into `obs`.
+    /// Returns `None` for an empty batch (an empty accession has no
+    /// meaningful root).
+    pub fn from_leaves<I, B>(leaves: I, obs: &itrust_obs::ObsCtx) -> Option<Self>
     where
         I: IntoIterator<Item = B>,
         B: AsRef<[u8]>,
     {
         let leaf_hashes: Vec<Digest> =
             leaves.into_iter().map(|l| sha256_leaf(l.as_ref())).collect();
-        Self::from_leaf_digests_with_obs(leaf_hashes, obs)
+        Self::from_leaf_digests(leaf_hashes, obs)
     }
 
-    /// Build from already-computed (domain-separated) leaf digests.
-    pub fn from_leaf_digests(leaf_hashes: Vec<Digest>) -> Option<Self> {
-        Self::from_leaf_digests_with_obs(leaf_hashes, &itrust_obs::ObsCtx::null())
-    }
-
-    /// [`MerkleTree::from_leaf_digests`] recording build telemetry into `obs`.
-    pub fn from_leaf_digests_with_obs(
-        leaf_hashes: Vec<Digest>,
-        obs: &itrust_obs::ObsCtx,
-    ) -> Option<Self> {
+    /// Build from already-computed (domain-separated) leaf digests,
+    /// recording build telemetry into `obs`.
+    pub fn from_leaf_digests(leaf_hashes: Vec<Digest>, obs: &itrust_obs::ObsCtx) -> Option<Self> {
         if leaf_hashes.is_empty() {
             return None;
         }
@@ -235,6 +220,7 @@ impl MerkleTree {
 mod tests {
     use super::*;
     use crate::hash::sha256_leaf;
+    use itrust_obs::ObsCtx;
 
     fn batch(n: usize) -> Vec<Vec<u8>> {
         (0..n).map(|i| format!("record-{i}").into_bytes()).collect()
@@ -242,12 +228,12 @@ mod tests {
 
     #[test]
     fn empty_batch_has_no_tree() {
-        assert!(MerkleTree::from_leaves(Vec::<Vec<u8>>::new()).is_none());
+        assert!(MerkleTree::from_leaves(Vec::<Vec<u8>>::new(), &ObsCtx::null()).is_none());
     }
 
     #[test]
     fn single_leaf_root_is_leaf_hash() {
-        let t = MerkleTree::from_leaves([b"only".to_vec()]).unwrap();
+        let t = MerkleTree::from_leaves([b"only".to_vec()], &ObsCtx::null()).unwrap();
         assert_eq!(t.root(), sha256_leaf(b"only"));
         assert_eq!(t.leaf_count(), 1);
         let p = t.prove(0).unwrap();
@@ -259,7 +245,7 @@ mod tests {
     fn all_leaves_provable_across_sizes() {
         for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 100] {
             let leaves = batch(n);
-            let t = MerkleTree::from_leaves(leaves.iter()).unwrap();
+            let t = MerkleTree::from_leaves(leaves.iter(), &ObsCtx::null()).unwrap();
             let root = t.root();
             for (i, leaf) in leaves.iter().enumerate() {
                 let proof = t.prove(i).unwrap();
@@ -273,7 +259,7 @@ mod tests {
     #[test]
     fn proof_rejects_wrong_leaf() {
         let leaves = batch(8);
-        let t = MerkleTree::from_leaves(leaves.iter()).unwrap();
+        let t = MerkleTree::from_leaves(leaves.iter(), &ObsCtx::null()).unwrap();
         let proof = t.prove(3).unwrap();
         assert!(proof.verify(b"record-4", &t.root()).is_err());
     }
@@ -281,33 +267,34 @@ mod tests {
     #[test]
     fn proof_rejects_wrong_root() {
         let leaves = batch(8);
-        let t = MerkleTree::from_leaves(leaves.iter()).unwrap();
-        let other = MerkleTree::from_leaves(batch(9).iter()).unwrap();
+        let t = MerkleTree::from_leaves(leaves.iter(), &ObsCtx::null()).unwrap();
+        let other = MerkleTree::from_leaves(batch(9).iter(), &ObsCtx::null()).unwrap();
         let proof = t.prove(3).unwrap();
         assert!(proof.verify(b"record-3", &other.root()).is_err());
     }
 
     #[test]
     fn proof_index_out_of_range() {
-        let t = MerkleTree::from_leaves(batch(4).iter()).unwrap();
+        let t = MerkleTree::from_leaves(batch(4).iter(), &ObsCtx::null()).unwrap();
         assert!(t.prove(4).is_err());
     }
 
     #[test]
     fn root_changes_with_any_leaf_change() {
-        let base = MerkleTree::from_leaves(batch(16).iter()).unwrap().root();
+        let base = MerkleTree::from_leaves(batch(16).iter(), &ObsCtx::null()).unwrap().root();
         for i in 0..16 {
             let mut leaves = batch(16);
             leaves[i].push(b'!');
-            let mutated = MerkleTree::from_leaves(leaves.iter()).unwrap().root();
+            let mutated = MerkleTree::from_leaves(leaves.iter(), &ObsCtx::null()).unwrap().root();
             assert_ne!(base, mutated, "mutating leaf {i} must change the root");
         }
     }
 
     #[test]
     fn root_depends_on_leaf_order() {
-        let a = MerkleTree::from_leaves([b"x".to_vec(), b"y".to_vec()]).unwrap().root();
-        let b = MerkleTree::from_leaves([b"y".to_vec(), b"x".to_vec()]).unwrap().root();
+        let obs = ObsCtx::null();
+        let a = MerkleTree::from_leaves([b"x".to_vec(), b"y".to_vec()], &obs).unwrap().root();
+        let b = MerkleTree::from_leaves([b"y".to_vec(), b"x".to_vec()], &obs).unwrap().root();
         assert_ne!(a, b);
     }
 
@@ -315,17 +302,17 @@ mod tests {
     fn promotion_distinguishes_odd_from_duplicated() {
         // With duplicate-last schemes, [a, b, c] == [a, b, c, c]. Promotion
         // must distinguish them.
-        let abc = MerkleTree::from_leaves(batch(3).iter()).unwrap().root();
+        let abc = MerkleTree::from_leaves(batch(3).iter(), &ObsCtx::null()).unwrap().root();
         let mut four = batch(3);
         four.push(batch(3)[2].clone());
-        let abcc = MerkleTree::from_leaves(four.iter()).unwrap().root();
+        let abcc = MerkleTree::from_leaves(four.iter(), &ObsCtx::null()).unwrap().root();
         assert_ne!(abc, abcc);
     }
 
     #[test]
     fn diff_identical_trees_is_empty_after_one_comparison() {
-        let t = MerkleTree::from_leaves(batch(33).iter()).unwrap();
-        let u = MerkleTree::from_leaves(batch(33).iter()).unwrap();
+        let t = MerkleTree::from_leaves(batch(33).iter(), &ObsCtx::null()).unwrap();
+        let u = MerkleTree::from_leaves(batch(33).iter(), &ObsCtx::null()).unwrap();
         let (diverging, comparisons) = t.diff_leaves(&u).unwrap();
         assert!(diverging.is_empty());
         // Equal roots prune the whole comparison at the top node.
@@ -338,8 +325,8 @@ mod tests {
             for mutated in 0..n {
                 let mut leaves = batch(n);
                 leaves[mutated].push(b'!');
-                let base = MerkleTree::from_leaves(batch(n).iter()).unwrap();
-                let other = MerkleTree::from_leaves(leaves.iter()).unwrap();
+                let base = MerkleTree::from_leaves(batch(n).iter(), &ObsCtx::null()).unwrap();
+                let other = MerkleTree::from_leaves(leaves.iter(), &ObsCtx::null()).unwrap();
                 let (diverging, _) = base.diff_leaves(&other).unwrap();
                 assert_eq!(diverging, vec![mutated], "n={n} mutated={mutated}");
             }
@@ -353,8 +340,8 @@ mod tests {
         let n = 256;
         let mut leaves = batch(n);
         leaves[137].push(b'!');
-        let base = MerkleTree::from_leaves(batch(n).iter()).unwrap();
-        let other = MerkleTree::from_leaves(leaves.iter()).unwrap();
+        let base = MerkleTree::from_leaves(batch(n).iter(), &ObsCtx::null()).unwrap();
+        let other = MerkleTree::from_leaves(leaves.iter(), &ObsCtx::null()).unwrap();
         let (diverging, comparisons) = base.diff_leaves(&other).unwrap();
         assert_eq!(diverging, vec![137]);
         // Path of 9 levels, each expanding to at most 2 children: ≤ 1 + 2*8.
@@ -363,14 +350,14 @@ mod tests {
 
     #[test]
     fn diff_rejects_shape_mismatch() {
-        let a = MerkleTree::from_leaves(batch(8).iter()).unwrap();
-        let b = MerkleTree::from_leaves(batch(9).iter()).unwrap();
+        let a = MerkleTree::from_leaves(batch(8).iter(), &ObsCtx::null()).unwrap();
+        let b = MerkleTree::from_leaves(batch(9).iter(), &ObsCtx::null()).unwrap();
         assert!(a.diff_leaves(&b).is_err());
     }
 
     #[test]
     fn level_accessors_expose_tree_shape() {
-        let t = MerkleTree::from_leaves(batch(5).iter()).unwrap();
+        let t = MerkleTree::from_leaves(batch(5).iter(), &ObsCtx::null()).unwrap();
         // 5 -> 3 (2 pairs + promote) -> 2 -> 1
         assert_eq!(t.level_count(), 4);
         assert_eq!(t.level(0).len(), 5);
@@ -379,7 +366,7 @@ mod tests {
 
     #[test]
     fn proof_serde_round_trip() {
-        let t = MerkleTree::from_leaves(batch(10).iter()).unwrap();
+        let t = MerkleTree::from_leaves(batch(10).iter(), &ObsCtx::null()).unwrap();
         let proof = t.prove(7).unwrap();
         let json = serde_json::to_string(&proof).unwrap();
         let back: InclusionProof = serde_json::from_str(&json).unwrap();

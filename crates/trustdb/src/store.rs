@@ -146,11 +146,6 @@ impl FileBackend {
     /// a crash mid-`put_raw` are swept (they were never renamed into place,
     /// so they hold no committed data).
     pub fn open(root: impl AsRef<Path>) -> Result<Self> {
-        Self::open_with_obs(root, &ObsCtx::null())
-    }
-
-    /// [`FileBackend::open`] recording the stale-tmp sweep into `obs`.
-    pub fn open_with_obs(root: impl AsRef<Path>, obs: &ObsCtx) -> Result<Self> {
         let root = root.as_ref().to_path_buf();
         std::fs::create_dir_all(&root)?;
         let mut index = BTreeMap::new();
@@ -167,7 +162,6 @@ impl FileBackend {
                     let Some(name) = name.to_str() else { continue };
                     if name.ends_with(".tmp") {
                         let _ = std::fs::remove_file(obj.path());
-                        itrust_obs::counter_inc!(obs, "trustdb.store.stale_tmp_swept");
                         continue;
                     }
                     if let Some(d) = Digest::from_hex(name) {

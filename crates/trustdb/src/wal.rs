@@ -107,17 +107,9 @@ pub struct Replay {
 
 impl Wal {
     /// Open (or create) the log at `path`, positioning new appends after the
-    /// last intact frame.
+    /// last intact frame. The log records no telemetry until
+    /// [`Wal::with_obs`] attaches a context.
     pub fn open(path: impl AsRef<Path>, policy: SyncPolicy) -> Result<Self> {
-        Self::open_with_obs(path, policy, itrust_obs::ObsCtx::null())
-    }
-
-    /// [`Wal::open`] with a telemetry context for append/replay metrics.
-    pub fn open_with_obs(
-        path: impl AsRef<Path>,
-        policy: SyncPolicy,
-        obs: itrust_obs::ObsCtx,
-    ) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         let mut file = OpenOptions::new()
             .create(true)
@@ -138,7 +130,7 @@ impl Wal {
         Ok(Wal {
             path,
             policy,
-            obs,
+            obs: itrust_obs::ObsCtx::null(),
             inner: Mutex::new(WalInner {
                 file: Box::new(file),
                 batch: Vec::new(),
@@ -147,6 +139,12 @@ impl Wal {
                 torn: false,
             }),
         })
+    }
+
+    /// Record append/replay telemetry into `obs`.
+    pub fn with_obs(mut self, obs: itrust_obs::ObsCtx) -> Self {
+        self.obs = obs;
+        self
     }
 
     /// Filesystem path of the log.

@@ -49,7 +49,7 @@ proptest! {
     fn merkle_inclusion_sound_and_complete(
         leaves in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..64), 1..40)
     ) {
-        let tree = MerkleTree::from_leaves(leaves.iter()).unwrap();
+        let tree = MerkleTree::from_leaves(leaves.iter(), &itrust_obs::ObsCtx::null()).unwrap();
         let root = tree.root();
         for (i, leaf) in leaves.iter().enumerate() {
             let proof = tree.prove(i).unwrap();

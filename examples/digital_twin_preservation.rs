@@ -14,7 +14,8 @@ use trustdb::store::{MemoryBackend, ObjectStore};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A seven-building campus, mirroring the Carleton study.
     println!("assembling the campus digital twin…");
-    let twin = DigitalTwin::synthetic("CarletonLike", 7, 2, 6 * 3_600_000, 2022);
+    let twin =
+        DigitalTwin::synthetic("CarletonLike", 7, 2, 6 * 3_600_000, 2022, &itrust_obs::ObsCtx::null());
     println!("  BIM: {} buildings, {} elements", twin.bim.buildings.len(), twin.bim.element_count());
     println!(
         "  sensors: {} deployed, {} readings",

@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         2022,
     );
     println!("simulating {} PSAPs for {} h…", config.topology.psaps.len(), duration / 3_600_000);
-    let output = run(&config);
+    let output = run(&config, &itrust_obs::ObsCtx::null());
     println!(
         "  {} calls, {} answered, {} abandoned ({:.1}%), {} overflow transfers",
         output.stats.total,

@@ -58,8 +58,16 @@ fn main() {
         .collect();
     let held_out = generate(CorpusConfig { count: 80, damage: 0, seed: 30 });
     let mut annotator = SimulatedAnnotator::new(0.05, 31);
-    let trajectory =
-        continuous_learning(32, &seed_set, &batches, &held_out, &mut annotator, 5, 0.005);
+    let trajectory = continuous_learning(
+        32,
+        &seed_set,
+        &batches,
+        &held_out,
+        &mut annotator,
+        5,
+        0.005,
+        &itrust_obs::ObsCtx::null(),
+    );
     for o in &trajectory {
         println!(
             "  round {}: pool {:>3} → held-out accuracy {:.3}",

@@ -42,7 +42,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Appraisal: AI sensitivity review under the guard.
     let training = generate_corpus(400, 0.3, 0.1, 7);
-    let model = SensitivityModel::fit(&training, &[], FitMode::Supervised);
+    let model =
+        SensitivityModel::fit(&training, &[], FitMode::Supervised, &itrust_obs::ObsCtx::null());
     let (results, guard) = platform.sensitivity_review(&receipt.aip_id, &model, 3_000)?;
     let auto = results.iter().filter(|r| r.routing == Routing::AutoAccepted).count();
     println!(

@@ -9,7 +9,7 @@ use trustdb::store::{MemoryBackend, ObjectStore};
 
 #[test]
 fn twin_records_are_trustworthy_archival_records() {
-    let twin = DigitalTwin::synthetic("Campus", 3, 1, 600_000, 1);
+    let twin = DigitalTwin::synthetic("Campus", 3, 1, 600_000, 1, &itrust_obs::ObsCtx::null());
     let repo = Repository::new(ObjectStore::new(MemoryBackend::new()));
     let receipt = archive_twin(&repo, &twin, 1_000, "archivist").unwrap();
 
@@ -40,7 +40,7 @@ fn twin_records_are_trustworthy_archival_records() {
 
 #[test]
 fn full_round_trip_then_tamper_then_detect() {
-    let twin = DigitalTwin::synthetic("Campus", 2, 2, 900_000, 2);
+    let twin = DigitalTwin::synthetic("Campus", 2, 2, 900_000, 2, &itrust_obs::ObsCtx::null());
     let repo = Repository::new(ObjectStore::new(MemoryBackend::new()));
     let receipt = archive_twin(&repo, &twin, 1_000, "archivist").unwrap();
 
@@ -72,7 +72,14 @@ fn full_round_trip_then_tamper_then_detect() {
 fn twin_scale_sweep_round_trips_at_every_size() {
     // The D4 shape in miniature: round-trip fidelity is scale-invariant.
     for (buildings, sensors) in [(1usize, 1usize), (3, 2), (7, 2)] {
-        let twin = DigitalTwin::synthetic("Campus", buildings, sensors, 300_000, 42);
+        let twin = DigitalTwin::synthetic(
+            "Campus",
+            buildings,
+            sensors,
+            300_000,
+            42,
+            &itrust_obs::ObsCtx::null(),
+        );
         let repo = Repository::new(ObjectStore::new(MemoryBackend::new()));
         let receipt = archive_twin(&repo, &twin, 1_000, "a").unwrap();
         let back = rehydrate_twin(&repo, &receipt.aip_id).unwrap();
@@ -83,7 +90,7 @@ fn twin_scale_sweep_round_trips_at_every_size() {
 
 #[test]
 fn preservation_readiness_gates_archiving_end_to_end() {
-    let mut twin = DigitalTwin::synthetic("Campus", 1, 1, 300_000, 3);
+    let mut twin = DigitalTwin::synthetic("Campus", 1, 1, 300_000, 3, &itrust_obs::ObsCtx::null());
     // Strip the paradata registry: automation becomes undocumented.
     twin.paradata = digital_twin::paradata::ParadataRegistry::new();
     let repo = Repository::new(ObjectStore::new(MemoryBackend::new()));

@@ -33,7 +33,7 @@ fn disaster_run_preserves_and_replays_faithfully() {
         duration,
         31337,
     );
-    let output = run(&config);
+    let output = run(&config, &itrust_obs::ObsCtx::null());
     assert!(output.stats.total > 100, "expected a busy day, got {}", output.stats.total);
 
     let repo = Repository::new(ObjectStore::new(MemoryBackend::new()));
@@ -64,7 +64,7 @@ fn jurisdictional_restriction_blocks_the_whole_pipeline() {
         600_000,
         1,
     );
-    let output = run(&config);
+    let output = run(&config, &itrust_obs::ObsCtx::null());
     let repo = Repository::new(ObjectStore::new(MemoryBackend::new()));
     let restrictions = vec![LegalRestriction {
         jurisdiction: "US-WA".into(),
@@ -92,7 +92,7 @@ fn counterfactual_capacity_study_from_the_archive() {
         duration,
         99,
     );
-    let output = run(&config);
+    let output = run(&config, &itrust_obs::ObsCtx::null());
     assert!(output.stats.abandonment_rate() > 0.05, "undersized PSAP should shed calls");
 
     let repo = Repository::new(ObjectStore::new(MemoryBackend::new()));
@@ -119,7 +119,7 @@ fn preserved_paradata_identifies_engine_and_scenario() {
         600_000,
         5,
     );
-    let output = run(&config);
+    let output = run(&config, &itrust_obs::ObsCtx::null());
     let repo = Repository::new(ObjectStore::new(MemoryBackend::new()));
     let receipt = preserve_run(&repo, &config, &output, &dsa(), &[], 1_000, "a").unwrap();
     let preserved = load_run(&repo, &receipt.aip_id).unwrap();

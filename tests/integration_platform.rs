@@ -29,7 +29,8 @@ fn guarded_review_catches_most_sensitive_documents() {
         .unwrap();
 
     let train = generate_corpus(500, 0.25, 0.1, 12);
-    let model = SensitivityModel::fit(&train, &[], FitMode::Supervised);
+    let model =
+        SensitivityModel::fit(&train, &[], FitMode::Supervised, &itrust_obs::ObsCtx::null());
     let (results, guard) = platform
         .sensitivity_review(&receipt.aip_id, &model, 2_000)
         .unwrap();
@@ -73,8 +74,8 @@ fn tar_prioritizes_the_same_corpus_the_platform_holds() {
     let corpus = generate_corpus(600, 0.1, 0.1, 21);
     let positives = corpus.iter().filter(|d| d.label == SENSITIVE).count();
     assert!(positives > 20);
-    let linear = linear_review(&corpus);
-    let tar = tar_review(&corpus, TarConfig::default());
+    let linear = linear_review(&corpus, &itrust_obs::ObsCtx::null());
+    let tar = tar_review(&corpus, TarConfig::default(), &itrust_obs::ObsCtx::null());
     let linear_90 = linear.docs_to_recall(0.9).unwrap();
     let tar_90 = tar.docs_to_recall(0.9).unwrap();
     assert!(

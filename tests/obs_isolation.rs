@@ -7,7 +7,7 @@
 
 use escs::external::ExternalTimeline;
 use escs::graph::Topology;
-use escs::sim::{run_with_obs, SimConfig};
+use escs::sim::{run, SimConfig};
 use itrust_obs::ObsCtx;
 use trustdb::store::{MemoryBackend, ObjectStore};
 
@@ -34,7 +34,7 @@ fn concurrent_contexts_record_disjoint_registries() {
     let store_ctx = ObsCtx::new();
     std::thread::scope(|scope| {
         scope.spawn(|| {
-            run_with_obs(&sim_config(41), &sim_ctx);
+            run(&sim_config(41), &sim_ctx);
         });
         scope.spawn(|| {
             let store = ObjectStore::new(MemoryBackend::new()).with_obs(store_ctx.clone());
@@ -77,8 +77,8 @@ fn concurrent_sims_do_not_share_counters() {
         7,
     );
     std::thread::scope(|scope| {
-        scope.spawn(|| run_with_obs(&config_a, &a));
-        scope.spawn(|| run_with_obs(&config_b, &b));
+        scope.spawn(|| run(&config_a, &a));
+        scope.spawn(|| run(&config_b, &b));
     });
     let count_a = a.snapshot().counters["escs.sim.events_dispatched"];
     let count_b = b.snapshot().counters["escs.sim.events_dispatched"];
@@ -91,7 +91,7 @@ fn concurrent_sims_do_not_share_counters() {
 
     // Serial re-run into fresh contexts reproduces each count exactly.
     let fresh = ObsCtx::new();
-    run_with_obs(&config_a, &fresh);
+    run(&config_a, &fresh);
     assert_eq!(fresh.snapshot().counters["escs.sim.events_dispatched"], count_a);
 }
 
@@ -146,7 +146,7 @@ fn service_tenants_have_isolated_obs_registries() {
 #[test]
 fn null_context_records_nothing() {
     let null = ObsCtx::null();
-    let output = run_with_obs(&sim_config(13), &null);
+    let output = run(&sim_config(13), &null);
     assert!(!output.calls.is_empty());
 
     let store = ObjectStore::new(MemoryBackend::new()).with_obs(null.clone());

@@ -27,7 +27,7 @@ fn sim_output_bytes_identical_across_thread_counts() {
                 duration,
                 2024,
             );
-            serde_json::to_vec(&run(&config)).unwrap()
+            serde_json::to_vec(&run(&config, &itrust_obs::ObsCtx::null())).unwrap()
         })
     };
     let serial = bytes(1);
@@ -198,7 +198,7 @@ fn service_shard_roots_and_counters_identical_across_thread_counts() {
 fn telemetry_counters_identical_across_thread_counts() {
     use escs::external::ExternalTimeline;
     use escs::graph::Topology;
-    use escs::sim::{run_with_obs, SimConfig};
+    use escs::sim::{run, SimConfig};
     use itrust_obs::ObsCtx;
     use trustdb::store::{MemoryBackend, ObjectStore};
 
@@ -211,7 +211,7 @@ fn telemetry_counters_identical_across_thread_counts() {
                 900_000,
                 77,
             );
-            run_with_obs(&config, &ctx);
+            run(&config, &ctx);
             let store = ObjectStore::new(MemoryBackend::new()).with_obs(ctx.clone());
             store
                 .put_many((0..32usize).map(|i| vec![i as u8; 1024 + i]).collect::<Vec<_>>())
