@@ -9,25 +9,13 @@
 //!
 //! Events are canonical [`LedgerEvent`]s (see [`trustdb::event`]) with the
 //! record id as their `subject`, so a chain can be replayed into the
-//! provenance ledger (`itrust-ledger`) without translation. The old
-//! `EventType` / `ProvenanceEvent` names survive as deprecated aliases so
-//! existing call sites compile; new code should use
-//! [`EventKind`] / [`LedgerEvent`] directly (enforced by `itrust-lint`'s
-//! `legacy-event-type` rule).
+//! provenance ledger (`itrust-ledger`) without translation.
 
 use crate::errors::{ArchivalError, Result};
 use crate::record::RecordId;
 use serde::{Deserialize, Serialize};
 use trustdb::event::{verify_events, EventKind, LedgerEvent, Verifiable};
 use trustdb::hash::{sha256, Digest};
-
-/// Deprecated alias for [`EventKind`], kept so pre-ledger call sites
-/// compile. Do not use in new code.
-pub type EventType = EventKind;
-
-/// Deprecated alias for [`LedgerEvent`], kept so pre-ledger call sites
-/// compile. Do not use in new code.
-pub type ProvenanceEvent = LedgerEvent;
 
 /// A record's complete, hash-linked event history.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -201,27 +201,6 @@ pub fn results_dir() -> String {
 "#,
     },
     Fixture {
-        rule: "legacy-event-type",
-        positive: r#"
-pub fn history(log: &AuditLog) -> Vec<AuditEntry> {
-    log.export()
-}
-"#,
-        negative: r#"
-pub fn history(log: &AuditLog) -> Vec<LedgerEvent> {
-    // comments may mention AuditEntry and ProvenanceEvent freely
-    log.export()
-}
-"#,
-        suppressed: r#"
-pub fn history(log: &AuditLog) -> Vec<LedgerEvent> {
-    // itrust-lint: allow(legacy-event-type) — compat shim kept for one downstream release
-    let legacy: Vec<AuditEntry> = log.export();
-    legacy
-}
-"#,
-    },
-    Fixture {
         rule: "lock-order",
         // The seeded ABBA deadlock: `ab` holds A then takes B, `ba` holds B
         // then takes A — a cycle in the lock-order graph.
@@ -459,9 +438,8 @@ pub const SCOPE_PROBES: &[(&str, &str, &str)] = &[
         "unordered-iter",
     ),
     // The provenance ledger is core library code: checkpoints must be cut
-    // at injected timestamps (never ambient wall clock), its telemetry is
-    // handle-based, and — being the crate the one-event-type migration
-    // exists for — it must never reintroduce the legacy chain vocabularies.
+    // at injected timestamps (never ambient wall clock) and its telemetry is
+    // handle-based.
     (
         "crates/ledger/src/ledger.rs",
         "pub fn cut_now() -> std::time::Instant { std::time::Instant::now() }\n",
@@ -471,23 +449,6 @@ pub const SCOPE_PROBES: &[(&str, &str, &str)] = &[
         "crates/ledger/src/ledger.rs",
         "pub fn s() { let _g = itrust_obs::span!(\"ledger.checkpoint\"); }\n",
         "ctx-first-macro",
-    ),
-    (
-        "crates/ledger/src/ledger.rs",
-        "pub fn legacy_seq(e: &AuditEntry) -> u64 { e.seq }\n",
-        "legacy-event-type",
-    ),
-    // …while the two alias-definition files remain the sanctioned home of
-    // the legacy names (their pinning tests must stay lintable).
-    (
-        "crates/trustdb/src/audit.rs",
-        "pub type CompatEntry = AuditEntry;\n",
-        "",
-    ),
-    (
-        "crates/archival-core/src/provenance.rs",
-        "pub type CompatEvent = ProvenanceEvent;\n",
-        "",
     ),
 ];
 

@@ -91,16 +91,6 @@ pub const RULES: &[RuleInfo] = &[
         skips: "crates/par and crates/bench",
     },
     RuleInfo {
-        id: "legacy-event-type",
-        summary: "no new uses of the pre-ledger event type names",
-        invariant: "one event API: the provenance ledger unified the audit, provenance, and shard \
-                    chains on EventKind/LedgerEvent (PR 9 API redesign); the old names survive \
-                    only as aliases so pre-ledger call sites compile, and must not spread",
-        detects: "the identifiers `AuditAction`, `AuditEntry`, `ProvenanceEvent`, `EventType`",
-        skips: "crates/trustdb/src/audit.rs and crates/archival-core/src/provenance.rs (the alias \
-                definitions and the tests pinning them)",
-    },
-    RuleInfo {
         id: "lock-order",
         summary: "no cycles in the workspace lock-order graph",
         invariant: "deadlock freedom: shard-grouped parallel ticks, gossip anti-entropy, and the \
@@ -198,11 +188,6 @@ pub fn run_rules(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
         if ctx.crate_name != "par" {
             raw_thread_spawn(ctx, &mut out);
         }
-    }
-    if !ctx.path.ends_with("crates/trustdb/src/audit.rs")
-        && !ctx.path.ends_with("crates/archival-core/src/provenance.rs")
-    {
-        legacy_event_type(ctx, &mut out);
     }
     out
 }
@@ -450,25 +435,6 @@ fn raw_thread_spawn(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
                 t,
                 "raw-thread-spawn",
                 "`thread::spawn` bypasses the deterministic itrust-par pool; use par_map/par_map_chunks".to_string(),
-            ));
-        }
-    }
-}
-
-/// The pre-ledger chain vocabularies, now deprecated aliases of
-/// `EventKind`/`LedgerEvent` (see `trustdb::event`).
-const LEGACY_EVENT_TYPES: &[&str] = &["AuditAction", "AuditEntry", "ProvenanceEvent", "EventType"];
-
-fn legacy_event_type(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
-    for t in ctx.toks {
-        if t.kind == TokKind::Ident && LEGACY_EVENT_TYPES.contains(&t.text.as_str()) {
-            out.push(ctx.diag(
-                t,
-                "legacy-event-type",
-                format!(
-                    "`{}` is a deprecated pre-ledger alias; use the unified `EventKind`/`LedgerEvent` vocabulary from `trustdb::event`",
-                    t.text
-                ),
             ));
         }
     }

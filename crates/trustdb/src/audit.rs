@@ -10,24 +10,12 @@
 //! or countersigned externally; that single value then commits to the entire
 //! history.
 //!
-//! Entries are canonical [`LedgerEvent`]s (see [`crate::event`]); the old
-//! `AuditAction` / `AuditEntry` names survive as deprecated aliases so
-//! existing call sites compile, but new code should use
-//! [`EventKind`] / [`LedgerEvent`] directly (enforced by `itrust-lint`'s
-//! `legacy-event-type` rule).
+//! Entries are canonical [`LedgerEvent`]s (see [`crate::event`]).
 
 use crate::errors::Result;
 use crate::event::{verify_events, EventKind, LedgerEvent, Verifiable};
 use crate::hash::Digest;
 use parking_lot::RwLock;
-
-/// Deprecated alias for [`EventKind`], kept so pre-ledger call sites
-/// compile. Do not use in new code.
-pub type AuditAction = EventKind;
-
-/// Deprecated alias for [`LedgerEvent`], kept so pre-ledger call sites
-/// compile. Do not use in new code.
-pub type AuditEntry = LedgerEvent;
 
 /// An append-only audit log whose entries form a hash chain.
 pub struct AuditLog {
@@ -257,15 +245,5 @@ mod tests {
         assert_eq!(Verifiable::head(&log), log.head().unwrap());
         let empty = AuditLog::new();
         assert_eq!(Verifiable::head(&empty), Digest::zero());
-    }
-
-    #[test]
-    fn legacy_aliases_still_name_the_unified_types() {
-        // The deprecated names must stay usable (thin aliases) so pre-ledger
-        // call sites compile unchanged.
-        let log = AuditLog::new();
-        log.append(0, "a", AuditAction::Ingest, "s", "d").unwrap();
-        let exported: Vec<AuditEntry> = log.export();
-        assert_eq!(exported[0].kind, EventKind::Ingest);
     }
 }

@@ -11,14 +11,6 @@
 //! enums) and a single canonical byte encoding that every hash chain in the
 //! workspace commits to.
 //!
-//! The legacy names remain as type aliases at their old paths
-//! (`audit::AuditAction`, `audit::AuditEntry`,
-//! `archival_core::provenance::EventType`,
-//! `archival_core::provenance::ProvenanceEvent`) so existing call sites
-//! compile, but new code should name [`EventKind`] / [`LedgerEvent`]
-//! directly — `itrust-lint`'s `legacy-event-type` rule flags new uses of
-//! the old names outside their defining modules.
-//!
 //! [`Verifiable`] is the shared contract for every hash-chained container
 //! (audit logs, provenance chains, the provenance ledger): one `verify()`
 //! that re-hashes the whole structure, one `head()` digest that commits to
