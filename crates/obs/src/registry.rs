@@ -119,7 +119,7 @@ impl Default for Histogram {
 
 impl Histogram {
     pub fn record(&self, value: u64) {
-        // itrust-lint: allow(panic-reachable) — series slots are indexed by handles this registry issued
+        // itrust-lint: allow(panic-reachable) — bucket_index clamps to BUCKET_COUNT - 1, the last slot of `buckets`
         self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);

@@ -20,17 +20,15 @@ thread_local! {
 fn with_stack<T>(ctx_id: u64, f: impl FnOnce(&mut Vec<&'static str>) -> T) -> T {
     SPAN_STACKS.with(|stacks| {
         let mut stacks = stacks.borrow_mut();
-        let idx = match stacks.iter().position(|(id, _)| *id == ctx_id) {
-            Some(i) => i,
-            None => {
-                stacks.push((ctx_id, Vec::new()));
-                stacks.len() - 1
-            }
+        // Take this context's stack out (or start an empty one); put it
+        // back only while it holds spans.
+        let mut stack = match stacks.iter().position(|(id, _)| *id == ctx_id) {
+            Some(i) => stacks.swap_remove(i).1,
+            None => Vec::new(),
         };
-        // itrust-lint: allow(panic-reachable) — ring slots wrap modulo the fixed capacity
-        let out = f(&mut stacks[idx].1);
-        if stacks[idx].1.is_empty() {
-            stacks.swap_remove(idx);
+        let out = f(&mut stack);
+        if !stack.is_empty() {
+            stacks.push((ctx_id, stack));
         }
         out
     })

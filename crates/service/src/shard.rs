@@ -115,32 +115,26 @@ fn encode_frame(tenant: &str, key: &str, digest: &Digest, payload: &[u8]) -> Vec
     buf
 }
 
-/// Decode a frame produced by [`encode_frame`].
+/// Decode a frame produced by [`encode_frame`]. The bytes come from disk
+/// at recovery, so every read is checked.
 fn decode_frame(frame: &[u8]) -> Result<(String, String, Digest, Vec<u8>)> {
-    let corrupt = |detail: &str| Error::Codec(format!("service WAL frame: {detail}"));
-    let take_str = |buf: &[u8], at: usize| -> Result<(String, usize)> {
-        if buf.len() < at + 4 {
-            return Err(corrupt("truncated length"));
-        }
-        let mut len = [0u8; 4];
-        // itrust-lint: allow(panic-reachable) — shard slots are selected modulo the shard count
-        len.copy_from_slice(&buf[at..at + 4]);
-        let len = u32::from_le_bytes(len) as usize;
-        if buf.len() < at + 4 + len {
-            return Err(corrupt("truncated string"));
-        }
-        let s = std::str::from_utf8(&buf[at + 4..at + 4 + len])
-            .map_err(|_| corrupt("non-utf8 name"))?;
-        Ok((s.to_string(), at + 4 + len))
-    };
-    let (tenant, at) = take_str(frame, 0)?;
-    let (key, at) = take_str(frame, at)?;
-    if frame.len() < at + 32 {
-        return Err(corrupt("truncated digest"));
+    fn corrupt(detail: &str) -> Error {
+        Error::Codec(format!("service WAL frame: {detail}"))
     }
-    let mut d = [0u8; 32];
-    d.copy_from_slice(&frame[at..at + 32]);
-    Ok((tenant, key, Digest(d), frame[at + 32..].to_vec()))
+    fn take_str(buf: &[u8]) -> Result<(String, &[u8])> {
+        let (len, rest) =
+            buf.split_first_chunk::<4>().ok_or_else(|| corrupt("truncated length"))?;
+        let (name, rest) = rest
+            .split_at_checked(u32::from_le_bytes(*len) as usize)
+            .ok_or_else(|| corrupt("truncated string"))?;
+        let name = std::str::from_utf8(name).map_err(|_| corrupt("non-utf8 name"))?;
+        Ok((name.to_string(), rest))
+    }
+    let (tenant, rest) = take_str(frame)?;
+    let (key, rest) = take_str(rest)?;
+    let (digest, payload) =
+        rest.split_first_chunk::<32>().ok_or_else(|| corrupt("truncated digest"))?;
+    Ok((tenant, key, Digest(*digest), payload.to_vec()))
 }
 
 impl Shard {
