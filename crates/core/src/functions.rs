@@ -64,7 +64,9 @@ pub struct Capability {
     pub description: String,
     /// Maturity gate.
     pub maturity: Maturity,
-    /// Whether a benefit/risk assessment has been completed ([`crate::risk`]).
+    /// Whether a benefit/risk assessment has been completed (Objective 2);
+    /// [`CapabilityRegistry::register`] refuses an `Operational` capability
+    /// without one.
     pub risk_assessed: bool,
 }
 

@@ -14,8 +14,9 @@
 //!   ([`functions::ArchivalFunction`]), and AI capabilities register
 //!   against them, so coverage and gaps are inspectable
 //!   ([`functions::CapabilityRegistry`]).
-//! * Adopting an AI capability requires a benefit/risk assessment
-//!   ([`risk`], Objective 2).
+//! * An AI capability cannot be registered as operational until its
+//!   benefit/risk assessment is recorded ([`functions::Capability`]'s
+//!   `risk_assessed` flag, Objective 2).
 //!
 //! The concrete capabilities implemented:
 //!
@@ -49,7 +50,6 @@ pub mod distant;
 pub mod functions;
 pub mod linking;
 pub mod platform;
-pub mod risk;
 pub mod sensitivity;
 pub mod tar;
 pub mod text;

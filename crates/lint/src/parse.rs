@@ -74,7 +74,7 @@ pub fn is_reserved(name: &str) -> bool {
 /// Module path segments derived from a file path:
 /// `crates/trustdb/src/wal.rs` → `["trustdb", "wal"]`,
 /// `crates/bench/src/bin/d9.rs` → `["bench", "d9"]`,
-/// `crates/neural/src/classical/kmeans.rs` → `["neural", "classical", "kmeans"]`.
+/// `crates/neural/src/classical/bayes.rs` → `["neural", "classical", "bayes"]`.
 /// `lib.rs`, `main.rs` and `mod.rs` stems are dropped.
 pub fn module_path_of(path: &str) -> Vec<String> {
     let norm = path.replace('\\', "/");
@@ -536,8 +536,8 @@ mod tests {
         assert_eq!(module_path_of("crates/obs/src/lib.rs"), vec!["obs"]);
         assert_eq!(module_path_of("crates/bench/src/bin/d9.rs"), vec!["bench", "d9"]);
         assert_eq!(
-            module_path_of("crates/neural/src/classical/kmeans.rs"),
-            vec!["neural", "classical", "kmeans"]
+            module_path_of("crates/neural/src/classical/bayes.rs"),
+            vec!["neural", "classical", "bayes"]
         );
         assert_eq!(module_path_of("crates/bench/src/harness/mod.rs"), vec!["bench", "harness"]);
     }

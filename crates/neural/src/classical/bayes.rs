@@ -1,130 +1,9 @@
-//! Naive Bayes classifiers: Gaussian (continuous features) and multinomial
-//! (count features — the standard baseline for text such as TF vectors).
+//! Multinomial naive Bayes over count features — the standard baseline for
+//! text such as TF vectors.
 
 use super::Classifier;
 use crate::data::Dataset;
 use crate::tensor::Tensor;
-
-/// Gaussian naive Bayes: per-class, per-feature normal densities with a
-/// variance floor for numerical stability.
-#[derive(Debug, Clone, Default)]
-pub struct GaussianNb {
-    /// log P(class)
-    log_prior: Vec<f64>,
-    /// means[class][feature]
-    means: Vec<Vec<f64>>,
-    /// vars[class][feature]
-    vars: Vec<Vec<f64>>,
-    dim: usize,
-}
-
-impl GaussianNb {
-    /// Unfitted model.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Classifier for GaussianNb {
-    fn fit(&mut self, data: &Dataset) {
-        assert!(!data.is_empty(), "cannot fit on an empty dataset");
-        let k = data.n_classes();
-        let d = data.dim();
-        let n = data.len();
-        let mut counts = vec![0usize; k];
-        let mut means = vec![vec![0.0f64; d]; k];
-        for i in 0..n {
-            // itrust-lint: allow(panic-reachable) — row/column loops are bounded by the dataset dims validated in fit
-            let c = data.y[i];
-            counts[c] += 1;
-            for (m, &v) in means[c].iter_mut().zip(data.x.row(i)) {
-                *m += v as f64;
-            }
-        }
-        for c in 0..k {
-            for m in &mut means[c] {
-                *m /= counts[c].max(1) as f64;
-            }
-        }
-        let mut vars = vec![vec![0.0f64; d]; k];
-        for i in 0..n {
-            let c = data.y[i];
-            for (j, &v) in data.x.row(i).iter().enumerate() {
-                let diff = v as f64 - means[c][j];
-                vars[c][j] += diff * diff;
-            }
-        }
-        // Variance floor: 1e-9 × max feature variance, as scikit-learn does.
-        let global_var: f64 = {
-            let total_mean: Vec<f64> = (0..d)
-                .map(|j| (0..n).map(|i| data.x.row(i)[j] as f64).sum::<f64>() / n as f64)
-                .collect();
-            (0..d)
-                .map(|j| {
-                    (0..n)
-                        .map(|i| {
-                            let diff = data.x.row(i)[j] as f64 - total_mean[j];
-                            diff * diff
-                        })
-                        .sum::<f64>()
-                        / n as f64
-                })
-                .fold(0.0, f64::max)
-        };
-        let floor = (1e-9 * global_var).max(1e-9);
-        for c in 0..k {
-            for v in &mut vars[c] {
-                *v = (*v / counts[c].max(1) as f64).max(floor);
-            }
-        }
-        self.log_prior = counts
-            .iter()
-            .map(|&c| ((c.max(1)) as f64 / n as f64).ln())
-            .collect();
-        self.means = means;
-        self.vars = vars;
-        self.dim = d;
-    }
-
-    fn predict_proba(&self, x: &Tensor) -> Tensor {
-        assert!(!self.means.is_empty(), "model not fitted");
-        // itrust-lint: allow(panic-reachable) — row/column loops are bounded by the dataset dims validated in fit
-        assert_eq!(x.shape()[1], self.dim);
-        let k = self.means.len();
-        let n = x.shape()[0];
-        let mut out = Tensor::zeros(&[n, k]);
-        for r in 0..n {
-            let row = x.row(r);
-            let mut log_post: Vec<f64> = (0..k)
-                .map(|c| {
-                    let mut lp = self.log_prior[c];
-                    for (j, &v) in row.iter().enumerate() {
-                        let mean = self.means[c][j];
-                        let var = self.vars[c][j];
-                        let diff = v as f64 - mean;
-                        lp +=
-                            -0.5 * ((2.0 * std::f64::consts::PI * var).ln() + diff * diff / var);
-                    }
-                    lp
-                })
-                .collect();
-            let max = log_post.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            let mut denom = 0.0;
-            for lp in &mut log_post {
-                *lp = (*lp - max).exp();
-                denom += *lp;
-            }
-            for (c, lp) in log_post.iter().enumerate() {
-                *out.at2_mut(r, c) = (lp / denom) as f32;
-            }
-        }
-        out
-    }
-
-    fn n_classes(&self) -> usize {
-        self.means.len()
-    }
-}
 
 /// Multinomial naive Bayes with Laplace (add-α) smoothing, for non-negative
 /// count features (term frequencies).
@@ -220,53 +99,7 @@ impl Classifier for MultinomialNb {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::{blobs, three_blobs};
     use super::*;
-    use crate::metrics::accuracy;
-
-    #[test]
-    fn gaussian_nb_separates_blobs() {
-        let data = blobs(100, 1);
-        let mut nb = GaussianNb::new();
-        nb.fit(&data);
-        assert_eq!(nb.n_classes(), 2);
-        let preds = nb.predict(&data.x);
-        assert!(accuracy(&data.y, &preds) > 0.97);
-    }
-
-    #[test]
-    fn gaussian_nb_multiclass() {
-        let data = three_blobs(80, 2);
-        let mut nb = GaussianNb::new();
-        nb.fit(&data);
-        let preds = nb.predict(&data.x);
-        assert!(accuracy(&data.y, &preds) > 0.95);
-    }
-
-    #[test]
-    fn gaussian_nb_probabilities_are_calibrated_at_midpoint() {
-        let data = blobs(500, 3);
-        let mut nb = GaussianNb::new();
-        nb.fit(&data);
-        // The point (0,0) is equidistant from both blobs: P ≈ 0.5 each.
-        let mid = Tensor::from_vec(&[1, 2], vec![0.0, 0.0]);
-        let p = nb.predict_proba(&mid);
-        assert!((p.at2(0, 0) - 0.5).abs() < 0.15, "p0 = {}", p.at2(0, 0));
-        let s: f32 = p.row(0).iter().sum();
-        assert!((s - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn gaussian_nb_constant_feature_is_stable() {
-        // Feature 1 is identical for every example — needs the variance floor.
-        let x = Tensor::from_vec(&[4, 2], vec![0.0, 5.0, 0.1, 5.0, 10.0, 5.0, 10.1, 5.0]);
-        let data = Dataset::new(x.clone(), vec![0, 0, 1, 1]);
-        let mut nb = GaussianNb::new();
-        nb.fit(&data);
-        let p = nb.predict_proba(&x);
-        assert!(p.all_finite());
-        assert_eq!(nb.predict(&x), vec![0, 0, 1, 1]);
-    }
 
     #[test]
     fn multinomial_nb_classifies_word_counts() {
@@ -316,6 +149,6 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn fitting_empty_dataset_panics() {
         let data = Dataset::new(Tensor::zeros(&[0, 2]), vec![]);
-        GaussianNb::new().fit(&data);
+        MultinomialNb::new(1.0).fit(&data);
     }
 }

@@ -1,25 +1,19 @@
-//! Classical (non-deep) machine learning: the workhorses the paper's
-//! archival studies lean on for text classification, clustering, and
-//! review prioritization.
+//! Classical (non-deep) machine learning: the multinomial naive Bayes text
+//! classifier behind the sensitivity (D2) and technology-assisted review
+//! (D3) studies, and the [`Classifier`] trait the semi-supervised wrapper
+//! is generic over.
 
 mod bayes;
-mod kmeans;
-mod logistic;
-mod tree;
 
-pub use bayes::{GaussianNb, MultinomialNb};
-pub use kmeans::KMeans;
-pub use logistic::LogisticRegression;
-pub use tree::DecisionTree;
+pub use bayes::MultinomialNb;
 
 use crate::data::Dataset;
 use crate::tensor::Tensor;
 
 /// A supervised classifier over dense feature vectors.
 ///
-/// The semi-supervised meta-learners in [`crate::semi`] are generic over
-/// this trait, so any model here (or a [`crate::net::Sequential`] wrapper)
-/// can be self-trained.
+/// The self-training wrapper in [`crate::semi`] is generic over this trait,
+/// so any model implementing it can be self-trained.
 pub trait Classifier: Send {
     /// Fit to a labeled dataset, replacing any previous fit.
     fn fit(&mut self, data: &Dataset);
@@ -34,46 +28,5 @@ pub trait Classifier: Send {
     /// Hard class predictions (argmax of probabilities).
     fn predict(&self, x: &Tensor) -> Vec<usize> {
         self.predict_proba(x).argmax_rows()
-    }
-}
-
-#[cfg(test)]
-pub(crate) mod testutil {
-    use super::*;
-    use crate::tensor::gaussian;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    /// Two well-separated Gaussian blobs in 2-D: class 0 near (-2,-2),
-    /// class 1 near (2,2).
-    pub fn blobs(n_per_class: usize, seed: u64) -> Dataset {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut data = Vec::with_capacity(n_per_class * 4);
-        let mut y = Vec::with_capacity(n_per_class * 2);
-        for class in 0..2usize {
-            let center = if class == 0 { -2.0 } else { 2.0 };
-            for _ in 0..n_per_class {
-                data.push(center + 0.7 * gaussian(&mut rng));
-                data.push(center + 0.7 * gaussian(&mut rng));
-                y.push(class);
-            }
-        }
-        Dataset::new(Tensor::from_vec(&[n_per_class * 2, 2], data), y)
-    }
-
-    /// Three blobs for multiclass tests.
-    pub fn three_blobs(n_per_class: usize, seed: u64) -> Dataset {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let centers = [(-3.0f32, 0.0f32), (3.0, 0.0), (0.0, 4.0)];
-        let mut data = Vec::new();
-        let mut y = Vec::new();
-        for (class, &(cx, cy)) in centers.iter().enumerate() {
-            for _ in 0..n_per_class {
-                data.push(cx + 0.6 * gaussian(&mut rng));
-                data.push(cy + 0.6 * gaussian(&mut rng));
-                y.push(class);
-            }
-        }
-        Dataset::new(Tensor::from_vec(&[n_per_class * 3, 2], data), y)
     }
 }

@@ -1,11 +1,10 @@
-//! Semi-supervised meta-learners: self-training and co-training.
+//! Semi-supervised self-training.
 //!
-//! Section 2 of the paper singles these out ("training samples can be grown
+//! Section 2 of the paper singles it out ("training samples can be grown
 //! iteratively exploiting unlabeled data based on decisions from an initial
-//! model (self-training) or using decisions from various initial models
-//! (co-training)"), citing Zhang & Abdul-Mageed's self-training work. The D2
-//! experiment measures how much of the fully-supervised accuracy gap these
-//! recover as the labeled fraction shrinks.
+//! model (self-training)"), citing Zhang & Abdul-Mageed's self-training
+//! work. The D2 experiment measures how much of the fully-supervised
+//! accuracy gap it recovers as the labeled fraction shrinks.
 
 use crate::classical::Classifier;
 use crate::data::Dataset;
@@ -153,159 +152,49 @@ impl<C: Classifier> Classifier for SelfTraining<C> {
     }
 }
 
-/// Co-training: two classifiers over disjoint feature *views* label data for
-/// each other (Blum & Mitchell).
-pub struct CoTraining<A: Classifier, B: Classifier> {
-    view_a: Vec<usize>,
-    view_b: Vec<usize>,
-    model_a: A,
-    model_b: B,
-    confidence: f32,
-    max_rounds: usize,
-}
-
-impl<A: Classifier, B: Classifier> CoTraining<A, B> {
-    /// `view_a`/`view_b` are disjoint feature-index subsets.
-    pub fn new(
-        model_a: A,
-        model_b: B,
-        view_a: Vec<usize>,
-        view_b: Vec<usize>,
-        confidence: f32,
-        max_rounds: usize,
-    ) -> Self {
-        assert!(!view_a.is_empty() && !view_b.is_empty());
-        assert!(view_a.iter().all(|i| !view_b.contains(i)), "views must be disjoint");
-        assert!(confidence > 0.0 && confidence <= 1.0);
-        CoTraining { view_a, view_b, model_a, model_b, confidence, max_rounds }
-    }
-
-    fn project(x: &Tensor, view: &[usize]) -> Tensor {
-        // itrust-lint: allow(panic-reachable) — pseudo-label indices come from argmax over the model's own output width
-        let n = x.shape()[0];
-        let mut data = Vec::with_capacity(n * view.len());
-        for r in 0..n {
-            let row = x.row(r);
-            for &j in view {
-                data.push(row[j]);
-            }
-        }
-        Tensor::from_vec(&[n, view.len()], data)
-    }
-
-    /// Fit both views from `labeled` plus the `unlabeled` pool.
-    pub fn fit_semi(&mut self, labeled: &Dataset, unlabeled: &Tensor) {
-        let mut pool_x = labeled.x.clone();
-        let mut pool_y = labeled.y.clone();
-        let d = labeled.dim();
-        // itrust-lint: allow(panic-reachable) — pseudo-label indices come from argmax over the model's own output width
-        let mut remaining: Vec<usize> = (0..unlabeled.shape()[0]).collect();
-        for _ in 0..self.max_rounds {
-            let ds = Dataset::new(pool_x.clone(), pool_y.clone());
-            self.model_a.fit(&Dataset::new(Self::project(&ds.x, &self.view_a), ds.y.clone()));
-            self.model_b.fit(&Dataset::new(Self::project(&ds.x, &self.view_b), ds.y.clone()));
-            if remaining.is_empty() {
-                break;
-            }
-            let mut cand_data = Vec::with_capacity(remaining.len() * d);
-            for &i in &remaining {
-                cand_data.extend_from_slice(&unlabeled.data()[i * d..(i + 1) * d]);
-            }
-            let cand = Tensor::from_vec(&[remaining.len(), d], cand_data);
-            let pa = self.model_a.predict_proba(&Self::project(&cand, &self.view_a));
-            let pb = self.model_b.predict_proba(&Self::project(&cand, &self.view_b));
-            // Either model's confident prediction labels the example for both.
-            let mut accepted: Vec<(usize, usize)> = Vec::new();
-            for pos in 0..remaining.len() {
-                let best = |probs: &Tensor| {
-                    let row = probs.row(pos);
-                    row.iter()
-                        .enumerate()
-                        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                        .map(|(c, &p)| (c, p))
-                        // itrust-lint: allow(panic-reachable) — probability rows always have n_classes ≥ 2 entries
-                        .unwrap()
-                };
-                let (ca, fa) = best(&pa);
-                let (cb, fb) = best(&pb);
-                if fa >= self.confidence {
-                    accepted.push((pos, ca));
-                } else if fb >= self.confidence {
-                    accepted.push((pos, cb));
-                }
-            }
-            if accepted.is_empty() {
-                break;
-            }
-            let mut new_x = pool_x.data().to_vec();
-            let mut taken: Vec<usize> = Vec::with_capacity(accepted.len());
-            for &(pos, class) in &accepted {
-                let i = remaining[pos];
-                new_x.extend_from_slice(&unlabeled.data()[i * d..(i + 1) * d]);
-                pool_y.push(class);
-                taken.push(pos);
-            }
-            pool_x = Tensor::from_vec(&[pool_y.len(), d], new_x);
-            taken.sort_unstable_by(|a, b| b.cmp(a));
-            for pos in taken {
-                remaining.swap_remove(pos);
-            }
-        }
-        // Final fit on the grown pool.
-        let ds = Dataset::new(pool_x, pool_y);
-        self.model_a.fit(&Dataset::new(Self::project(&ds.x, &self.view_a), ds.y.clone()));
-        self.model_b.fit(&Dataset::new(Self::project(&ds.x, &self.view_b), ds.y));
-    }
-
-    /// Predict by averaging both views' probabilities.
-    pub fn predict(&self, x: &Tensor) -> Vec<usize> {
-        let pa = self.model_a.predict_proba(&Self::project(x, &self.view_a));
-        let pb = self.model_b.predict_proba(&Self::project(x, &self.view_b));
-        pa.add(&pb).argmax_rows()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classical::{GaussianNb, LogisticRegression};
+    use crate::classical::MultinomialNb;
     use crate::metrics::accuracy;
-    use crate::tensor::gaussian;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
-    /// 4-D blobs where each 2-D half is independently separable (so both
-    /// co-training views work).
-    fn blobs4(n_per_class: usize, seed: u64) -> Dataset {
+    /// Two-class term-count vectors over a 6-word vocabulary: each of a
+    /// document's `doc_len` tokens comes from its class's half of the
+    /// vocabulary with probability 0.8, from the other half otherwise.
+    fn counts(n_per_class: usize, doc_len: usize, seed: u64) -> Dataset {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut data = Vec::new();
-        let mut y = Vec::new();
+        let mut data = Vec::with_capacity(n_per_class * 2 * 6);
+        let mut y = Vec::with_capacity(n_per_class * 2);
         for class in 0..2usize {
-            let c = if class == 0 { -2.0f32 } else { 2.0 };
             for _ in 0..n_per_class {
-                for _ in 0..4 {
-                    data.push(c + 0.8 * gaussian(&mut rng));
+                let mut doc = [0.0f32; 6];
+                for _ in 0..doc_len {
+                    let half = if rng.gen_bool(0.8) { class } else { 1 - class };
+                    doc[half * 3 + rng.gen_range(0..3usize)] += 1.0;
                 }
+                data.extend_from_slice(&doc);
                 y.push(class);
             }
         }
-        Dataset::new(Tensor::from_vec(&[n_per_class * 2, 4], data), y)
+        Dataset::new(Tensor::from_vec(&[n_per_class * 2, 6], data), y)
     }
 
     #[test]
     fn self_training_uses_unlabeled_data() {
         let mut rng = StdRng::seed_from_u64(40);
-        let full = blobs4(300, 41);
+        let full = counts(300, 8, 41);
         let (labeled, unlabeled_ds) = full.split_labeled(0.02, &mut rng);
-        let test = blobs4(200, 42);
+        let test = counts(200, 8, 42);
 
         // Supervised-only baseline on the tiny labeled set.
-        let mut base = LogisticRegression::new(0.5, 200, 1e-4);
+        let mut base = MultinomialNb::new(1.0);
         base.fit(&labeled);
         let acc_supervised = accuracy(&test.y, &base.predict(&test.x));
 
         // Self-training with the unlabeled pool.
-        let mut st = SelfTraining::new(LogisticRegression::new(0.5, 200, 1e-4), 0.9, 10);
+        let mut st = SelfTraining::new(MultinomialNb::new(1.0), 0.9, 10);
         st.fit_semi(&labeled, &unlabeled_ds.x);
         let acc_semi = accuracy(&test.y, &st.predict(&test.x));
 
@@ -322,28 +211,46 @@ mod tests {
     #[test]
     fn self_training_threshold_gates_growth() {
         let mut rng = StdRng::seed_from_u64(43);
-        let full = blobs4(100, 44);
+        let full = counts(100, 4, 44);
         let (labeled, unlabeled_ds) = full.split_labeled(0.1, &mut rng);
-        // Threshold 1.01 > any probability: nothing can be pseudo-labeled.
-        let mut st = SelfTraining::new(GaussianNb::new(), 1.0, 5);
-        st.fit_semi(&labeled, &unlabeled_ds.x);
-        // GaussianNB can emit exact 1.0 on deep points, so growth may be > 0,
-        // but with max_per_round = 1 it is at most max_rounds.
-        let mut st_capped =
-            SelfTraining::new(GaussianNb::new(), 0.99, 3).with_max_per_round(1);
-        st_capped.fit_semi(&labeled, &unlabeled_ds.x);
-        let grown = st_capped.history().last().unwrap().labeled_size - labeled.len();
-        assert!(grown <= 3, "cap 1/round × 3 rounds, got {grown}");
+        // The first round scores the pool with the model fitted on the
+        // labeled set alone, so its top confidence decides whether any
+        // pseudo-label is accepted.
+        let mut base = MultinomialNb::new(1.0);
+        base.fit(&labeled);
+        let top = base.predict_proba(&unlabeled_ds.x).data().iter().copied().fold(0.0f32, f32::max);
+        assert!(top < 1.0, "short documents keep every posterior below 1");
+
+        // A threshold just above the top confidence admits nothing.
+        let mut gated = SelfTraining::new(MultinomialNb::new(1.0), top.next_up(), 5);
+        gated.fit_semi(&labeled, &unlabeled_ds.x);
+        assert_eq!(gated.history().len(), 1, "no round may run past the gate");
+        assert_eq!(gated.history()[0].labeled_size, labeled.len());
+
+        // At exactly the top confidence the same pool grows.
+        let mut open = SelfTraining::new(MultinomialNb::new(1.0), top, 5);
+        open.fit_semi(&labeled, &unlabeled_ds.x);
+        assert!(open.history()[1].newly_labeled >= 1);
+
+        // With max_per_round = 1 and a threshold every two-class posterior
+        // meets, each of the 3 rounds adds exactly one pseudo-label.
+        let mut capped = SelfTraining::new(MultinomialNb::new(1.0), 0.5, 3).with_max_per_round(1);
+        capped.fit_semi(&labeled, &unlabeled_ds.x);
+        let h = capped.history();
+        assert_eq!(h.len(), 4, "initial fit plus 3 rounds");
+        assert!(h[1..].iter().all(|s| s.newly_labeled == 1));
+        assert_eq!(h[3].labeled_size - labeled.len(), 3, "cap 1/round × 3 rounds");
     }
 
     #[test]
     fn self_training_history_is_monotone() {
         let mut rng = StdRng::seed_from_u64(45);
-        let full = blobs4(150, 46);
+        let full = counts(150, 6, 46);
         let (labeled, unlabeled_ds) = full.split_labeled(0.05, &mut rng);
-        let mut st = SelfTraining::new(GaussianNb::new(), 0.8, 8);
+        let mut st = SelfTraining::new(MultinomialNb::new(1.0), 0.8, 8);
         st.fit_semi(&labeled, &unlabeled_ds.x);
         let h = st.history();
+        assert!(h.len() >= 2, "at least one pseudo-labeling round");
         for w in h.windows(2) {
             assert!(w[1].labeled_size >= w[0].labeled_size);
             assert!(w[1].remaining_unlabeled <= w[0].remaining_unlabeled);
@@ -356,38 +263,17 @@ mod tests {
     }
 
     #[test]
-    fn co_training_two_views_agree_on_blobs() {
-        let mut rng = StdRng::seed_from_u64(47);
-        let full = blobs4(200, 48);
-        let (labeled, unlabeled_ds) = full.split_labeled(0.05, &mut rng);
-        let test = blobs4(100, 49);
-        let mut ct = CoTraining::new(
-            GaussianNb::new(),
-            LogisticRegression::new(0.5, 150, 1e-4),
-            vec![0, 1],
-            vec![2, 3],
-            0.95,
-            5,
-        );
-        ct.fit_semi(&labeled, &unlabeled_ds.x);
-        let acc = accuracy(&test.y, &ct.predict(&test.x));
-        assert!(acc > 0.9, "co-training accuracy {acc}");
-    }
-
-    #[test]
-    #[should_panic(expected = "disjoint")]
-    fn co_training_rejects_overlapping_views() {
-        CoTraining::new(GaussianNb::new(), GaussianNb::new(), vec![0, 1], vec![1, 2], 0.9, 3);
-    }
-
-    #[test]
     fn self_training_as_classifier_trait() {
         // SelfTraining itself implements Classifier, so it can nest.
-        let data = blobs4(50, 50);
-        let mut st = SelfTraining::new(GaussianNb::new(), 0.9, 3);
-        st.fit(&data);
-        let preds = st.predict(&data.x);
-        assert!(accuracy(&data.y, &preds) > 0.95);
+        let mut rng = StdRng::seed_from_u64(47);
+        let full = counts(100, 8, 48);
+        let (labeled, unlabeled_ds) = full.split_labeled(0.1, &mut rng);
+        let inner = SelfTraining::new(MultinomialNb::new(1.0), 0.9, 3);
+        let mut st = SelfTraining::new(inner, 0.9, 3);
+        st.fit_semi(&labeled, &unlabeled_ds.x);
+        assert!(st.history().len() >= 2, "the outer wrapper grew its pool");
+        let preds = st.predict(&full.x);
+        assert!(accuracy(&full.y, &preds) > 0.9);
         assert_eq!(st.n_classes(), 2);
     }
 }

@@ -254,9 +254,8 @@ impl<B: Backend> FaultyBackend<B> {
                 v[pos] ^= 1 << bit;
             }
         }
-        // Rewrite through the raw interface: delete then put, because
-        // deduplicating backends (e.g. the file backend) skip puts for
-        // digests they already index.
+        // Rewrite through the raw interface: delete then put, because a
+        // deduplicating backend may skip puts for digests it already holds.
         let _ = self.inner.delete_raw(digest);
         self.inner.put_raw(digest, Bytes::from(v)).is_ok()
     }

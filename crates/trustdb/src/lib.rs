@@ -50,7 +50,6 @@
 
 pub mod antientropy;
 pub mod audit;
-pub mod catalog;
 pub mod errors;
 pub mod event;
 pub mod fault;

@@ -11,8 +11,11 @@
 //! * **Verifiability** — fixity checking is re-hashing; no side-channel
 //!   checksum database can drift out of sync with the data.
 //!
-//! Two backends are provided: [`MemoryBackend`] (tests, benchmarks) and
-//! [`FileBackend`] (a fanned-out directory layout, one file per object).
+//! [`MemoryBackend`] is the one leaf backend. Durable bytes live in the
+//! shard write-ahead log (`itrust-service`), which replays into a
+//! `MemoryBackend` on open. [`crate::replica`], [`crate::fault`] and
+//! [`crate::antientropy`] wrap any [`Backend`] for replication, fault
+//! injection and network partitions.
 
 use crate::errors::{Error, Result};
 use crate::hash::{sha256, Digest};
@@ -20,7 +23,6 @@ use bytes::Bytes;
 use itrust_obs::ObsCtx;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Storage backend abstraction: a flat digest → bytes map.
@@ -123,123 +125,6 @@ impl Backend for MemoryBackend {
 
     fn payload_bytes(&self) -> u64 {
         self.bytes.load(Ordering::Relaxed)
-    }
-}
-
-/// File-backed backend: one file per object under a two-level hex fanout
-/// (`root/ab/cd/<digest>`), the layout used by most content stores to keep
-/// directory sizes bounded.
-pub struct FileBackend {
-    root: PathBuf,
-    // Index kept in memory for cheap list/count; rebuilt on open.
-    index: RwLock<BTreeMap<Digest, u64>>,
-}
-
-/// Monotonic discriminator for temp-file names: two concurrent `put_raw`
-/// calls for the same digest must never share a temp path, or one writer's
-/// rename could publish the other's half-written file.
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-
-impl FileBackend {
-    /// Open (or create) a file backend rooted at `root`, scanning existing
-    /// objects into the in-memory index. Stale `*.tmp` files left behind by
-    /// a crash mid-`put_raw` are swept (they were never renamed into place,
-    /// so they hold no committed data).
-    pub fn open(root: impl AsRef<Path>) -> Result<Self> {
-        let root = root.as_ref().to_path_buf();
-        std::fs::create_dir_all(&root)?;
-        let mut index = BTreeMap::new();
-        for l1 in std::fs::read_dir(&root)? {
-            let l1 = l1?;
-            if !l1.file_type()?.is_dir() {
-                continue;
-            }
-            for l2 in std::fs::read_dir(l1.path())? {
-                let l2 = l2?;
-                for obj in std::fs::read_dir(l2.path())? {
-                    let obj = obj?;
-                    let name = obj.file_name();
-                    let Some(name) = name.to_str() else { continue };
-                    if name.ends_with(".tmp") {
-                        let _ = std::fs::remove_file(obj.path());
-                        continue;
-                    }
-                    if let Some(d) = Digest::from_hex(name) {
-                        index.insert(d, obj.metadata()?.len());
-                    }
-                }
-            }
-        }
-        Ok(FileBackend { root, index: RwLock::new(index) })
-    }
-
-    fn path_for(&self, digest: &Digest) -> PathBuf {
-        let hex = digest.to_hex();
-        // itrust-lint: allow(panic-reachable) — shard prefix slicing needs the two hex bytes the digest format guarantees
-        self.root.join(&hex[0..2]).join(&hex[2..4]).join(hex)
-    }
-}
-
-impl Backend for FileBackend {
-    fn put_raw(&self, digest: &Digest, bytes: Bytes) -> Result<()> {
-        if self.index.read().contains_key(digest) {
-            return Ok(()); // dedup
-        }
-        let path = self.path_for(digest);
-        // itrust-lint: allow(panic-reachable) — path_for always joins two shard dirs under root, so a parent exists
-        std::fs::create_dir_all(path.parent().unwrap())?;
-        // Write to a unique temp name then rename: readers never observe a
-        // torn object file, and concurrent puts of the same digest cannot
-        // rename each other's half-written temp into place. The `.tmp`
-        // suffix is what `open`'s stale-file sweep keys on.
-        let tmp = path.with_extension(format!(
-            "{}-{}.tmp",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        if let Err(e) = std::fs::write(&tmp, &bytes).and_then(|()| std::fs::rename(&tmp, &path)) {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(e.into());
-        }
-        self.index.write().insert(*digest, bytes.len() as u64);
-        Ok(())
-    }
-
-    fn get_raw(&self, digest: &Digest) -> Result<Bytes> {
-        match std::fs::read(self.path_for(digest)) {
-            Ok(v) => Ok(Bytes::from(v)),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                Err(Error::NotFound(digest.to_hex()))
-            }
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    fn contains(&self, digest: &Digest) -> bool {
-        self.index.read().contains_key(digest)
-    }
-
-    fn delete_raw(&self, digest: &Digest) -> Result<bool> {
-        if self.index.write().remove(digest).is_none() {
-            return Ok(false);
-        }
-        match std::fs::remove_file(self.path_for(digest)) {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(true),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    fn list(&self) -> Vec<Digest> {
-        self.index.read().keys().copied().collect()
-    }
-
-    fn object_count(&self) -> usize {
-        self.index.read().len()
-    }
-
-    fn payload_bytes(&self) -> u64 {
-        self.index.read().values().sum()
     }
 }
 
@@ -453,109 +338,5 @@ mod tests {
             (0..20).map(|i| store.put(vec![i as u8; 10]).unwrap()).collect();
         ids.sort();
         assert_eq!(store.list(), ids);
-    }
-
-    #[test]
-    fn file_backend_round_trip_and_reopen() {
-        let mut dir = std::env::temp_dir();
-        dir.push(format!("trustdb-store-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let id;
-        {
-            let store = ObjectStore::new(FileBackend::open(&dir).unwrap());
-            id = store.put(b"durable object".as_slice()).unwrap();
-            assert!(store.verify(&id).unwrap());
-        }
-        // Reopen: index is rebuilt from the directory scan.
-        let store = ObjectStore::new(FileBackend::open(&dir).unwrap());
-        assert!(store.contains(&id));
-        assert_eq!(&store.get(&id).unwrap()[..], b"durable object");
-        assert_eq!(store.object_count(), 1);
-        assert_eq!(store.payload_bytes(), 14);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn file_backend_on_disk_corruption_detected() {
-        let mut dir = std::env::temp_dir();
-        dir.push(format!("trustdb-corrupt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = ObjectStore::new(FileBackend::open(&dir).unwrap());
-        let id = store.put(b"master image bytes".as_slice()).unwrap();
-        // Corrupt the file on disk directly.
-        let hex = id.to_hex();
-        let path = dir.join(&hex[0..2]).join(&hex[2..4]).join(&hex);
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[5] ^= 0x01;
-        std::fs::write(&path, bytes).unwrap();
-        assert!(!store.verify(&id).unwrap());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn file_backend_sweeps_stale_tmp_on_open() {
-        let mut dir = std::env::temp_dir();
-        dir.push(format!("trustdb-tmp-sweep-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let id;
-        {
-            let store = ObjectStore::new(FileBackend::open(&dir).unwrap());
-            id = store.put(b"real object".as_slice()).unwrap();
-        }
-        // Simulate a crash mid-put: a .tmp orphan next to the real object.
-        let hex = id.to_hex();
-        let leaf = dir.join(&hex[0..2]).join(&hex[2..4]);
-        let orphan = leaf.join(format!("{hex}.999-7.tmp"));
-        std::fs::write(&orphan, b"half-written junk").unwrap();
-        let store = ObjectStore::new(FileBackend::open(&dir).unwrap());
-        assert!(!orphan.exists(), "stale tmp must be swept at open");
-        assert_eq!(store.object_count(), 1, "orphan must not be indexed");
-        assert!(store.verify(&id).unwrap());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn file_backend_concurrent_same_digest_puts() {
-        let mut dir = std::env::temp_dir();
-        dir.push(format!("trustdb-race-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let backend = std::sync::Arc::new(FileBackend::open(&dir).unwrap());
-        let payload = Bytes::from(vec![0x5Au8; 4096]);
-        let digest = sha256(&payload);
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let backend = backend.clone();
-            let payload = payload.clone();
-            handles.push(std::thread::spawn(move || {
-                backend.put_raw(&digest, payload).unwrap();
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(backend.get_raw(&digest).unwrap(), payload);
-        assert_eq!(backend.object_count(), 1);
-        // No temp droppings survive the racing writers.
-        let hex = digest.to_hex();
-        let leaf = dir.join(&hex[0..2]).join(&hex[2..4]);
-        let leftovers: Vec<_> = std::fs::read_dir(&leaf)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
-            .collect();
-        assert!(leftovers.is_empty(), "unique temp names must all be renamed or removed");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn file_backend_delete() {
-        let mut dir = std::env::temp_dir();
-        dir.push(format!("trustdb-del-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = ObjectStore::new(FileBackend::open(&dir).unwrap());
-        let id = store.put(b"ephemeral".as_slice()).unwrap();
-        assert!(store.delete(&id).unwrap());
-        assert!(matches!(store.get(&id), Err(Error::NotFound(_))));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
