@@ -23,7 +23,9 @@
 //! on a 2-core x86_64 host, on the order of a whole PergaNet stage. So
 //! parallelise over whole items — batch items, stored objects, shard
 //! groups — never inside one item. A call with a single chunk runs inline
-//! on the caller and spawns nothing.
+//! on the caller, spawns nothing and skips the thread-count lookup (without
+//! `ITRUST_THREADS`, [`std::thread::available_parallelism`] re-reads the
+//! cgroup quota on every call, ~20 µs on that host).
 
 #![deny(unsafe_code)]
 
@@ -80,8 +82,22 @@ pub fn par_map_chunks<T: Sync, U: Send>(
     f: impl Fn(usize, &[T]) -> Vec<U> + Sync,
 ) -> Vec<U> {
     assert!(chunk_size > 0, "chunk_size must be positive");
+    // A single chunk runs inline whatever the thread count, so skip the
+    // lookup.
+    let threads = if items.len() > chunk_size { current_threads() } else { 1 };
+    run_chunks(items, chunk_size, threads, f)
+}
+
+/// [`par_map_chunks`] on at most `threads` threads, for callers that have
+/// already resolved the thread count.
+fn run_chunks<T: Sync, U: Send>(
+    items: &[T],
+    chunk_size: usize,
+    threads: usize,
+    f: impl Fn(usize, &[T]) -> Vec<U> + Sync,
+) -> Vec<U> {
     let n_chunks = items.len().div_ceil(chunk_size);
-    let threads = current_threads().min(n_chunks);
+    let threads = threads.min(n_chunks);
     if threads <= 1 {
         let mut out = Vec::new();
         for (i, chunk) in items.chunks(chunk_size).enumerate() {
@@ -127,13 +143,13 @@ pub fn par_map_chunks<T: Sync, U: Send>(
 /// internal; because `f` is applied per element, chunk boundaries cannot
 /// affect the output.
 pub fn par_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
-    if items.is_empty() {
-        return Vec::new();
+    if items.len() <= 1 {
+        return items.iter().map(f).collect();
     }
     let threads = current_threads();
     // ~4 chunks per thread keeps the tail balanced without oversplitting.
-    let chunk = items.len().div_ceil(threads.max(1) * 4).max(1);
-    par_map_chunks(items, chunk, |_, c| c.iter().map(&f).collect())
+    let chunk = items.len().div_ceil(threads * 4).max(1);
+    run_chunks(items, chunk, threads, |_, c| c.iter().map(&f).collect())
 }
 
 /// Parallel map over an index range `0..n`, results in index order.
