@@ -24,11 +24,17 @@ cargo clippy --workspace -- -D warnings
 SCRATCH="$(mktemp -d)"
 trap 'rm -rf "$SCRATCH"' EXIT
 
+OBSTOOL=(cargo run --release -q -p itrust-obs-analyze --bin obstool --)
+
 # Golden-report gate (serial-equivalence gate, part 2): the behavioural
 # contract is every committed report in results/ plus the detcheck content
 # digests. Regenerate all of them into scratch at 1 and at 4 threads; each
 # must be byte-identical to its committed file. Reports carry deterministic
 # columns only — wall-clock rates live in <name>.json, which is not diffed.
+# The structural half of each run's telemetry is part of the contract too:
+# benchdiff with an infinite latency threshold ignores timing percentiles,
+# and its default count threshold of 0 holds every counter, gauge and
+# histogram count to the committed value.
 for threads in 1 4; do
     golden="$SCRATCH/golden-t$threads"
     mkdir -p "$golden"
@@ -36,6 +42,8 @@ for threads in 1 4; do
         ITRUST_THREADS=$threads ITRUST_RESULTS_DIR="$golden" \
             cargo run --release -q -p itrust-bench --bin "$bin" > /dev/null
         diff -u "results/$bin.txt" "$golden/$bin.txt"
+        "${OBSTOOL[@]}" benchdiff --check --threshold inf \
+            "results/$bin.telemetry.json" "$golden/$bin.telemetry.json"
     done
     ITRUST_THREADS=$threads ITRUST_RESULTS_DIR="$golden" \
         cargo run --release -q -p itrust-bench --bin detcheck > /dev/null
@@ -71,8 +79,6 @@ cargo run --release -q -p itrust-lint -- --json crates > "$SCRATCH/lint2.json"
 diff "$SCRATCH/lint1.json" "$SCRATCH/lint2.json"
 cargo run --release -q -p itrust-lint -- --validate-json "$SCRATCH/lint1.json" >/dev/null
 
-OBSTOOL=(cargo run --release -q -p itrust-obs-analyze --bin obstool --)
-
 # Trace smoke: the golden d9 run must have streamed a JSONL span trace that
 # the profiler accepts — parse + schema + monotone end_ns are all enforced
 # by `obstool profile`.
@@ -87,12 +93,13 @@ diff "$SCRATCH/prof1" "$SCRATCH/prof2"
 "${OBSTOOL[@]}" profile results/d1.trace.jsonl > "$SCRATCH/prof4"
 diff "$SCRATCH/prof3" "$SCRATCH/prof4"
 
-# Perf-regression gate: re-run the gated experiments into scratch and
-# benchdiff against the committed baselines. Structural metrics (counters,
-# gauges, hist counts) must match exactly — they are deterministic.
-# Latency percentiles get a wide tolerance (3.5x slower fails) so the gate
-# catches order-of-magnitude regressions without flaking on shared
-# machines.
+# Perf-regression gate: benchdiff the golden runs' telemetry against the
+# committed baselines, each taken from the golden run at the thread count
+# recorded in the baseline's meta (percentiles shift with it). Structural
+# metrics (counters, gauges, hist counts) must match exactly — they are
+# deterministic. Latency percentiles get a wide tolerance (3.5x slower
+# fails) so the gate catches order-of-magnitude regressions without
+# flaking on shared machines.
 # d9, d10 and d11's spans are dominated by very short virtual-time (or
 # sub-millisecond proof) operations, so their wall-clock percentiles are
 # noisier than d1/fig1 — they get a wider band (their counters and gauges
@@ -102,11 +109,10 @@ for exp in d1 fig1 d9 d10 d11; do
         d9|d10|d11) threshold=4.0 ;;
         *) threshold=2.5 ;;
     esac
-    ITRUST_RESULTS_DIR="$SCRATCH/bench" \
-        cargo run --release -q -p itrust-bench --bin "$exp" > /dev/null
+    baseline="results/baselines/$exp.telemetry.json"
+    threads=$(sed -n 's/^ *"threads": "\([0-9]*\)".*/\1/p' "$baseline")
     "${OBSTOOL[@]}" benchdiff --check --threshold "$threshold" \
-        "results/baselines/$exp.telemetry.json" \
-        "$SCRATCH/bench/$exp.telemetry.json"
+        "$baseline" "$SCRATCH/golden-t$threads/$exp.telemetry.json"
 done
 
 # Flight-recorder smoke: a forced panic in d9 must leave a parseable
