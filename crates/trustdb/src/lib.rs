@@ -31,9 +31,9 @@
 //! All cryptographic primitives (SHA-256, CRC32C) are implemented in this
 //! crate from scratch — no external crypto dependencies — and validated
 //! against published test vectors. SHA-256 runs on the x86 SHA extensions
-//! when the CPU has them (runtime detection) and on portable code
-//! otherwise; that compression function is the only `unsafe` code in the
-//! workspace.
+//! and CRC-32C on the SSE4.2 `crc32` instruction when the CPU has them
+//! (runtime detection), and both on portable code otherwise; those two
+//! hardware paths are the only `unsafe` code in the workspace.
 //!
 //! ## Quick example
 //!
