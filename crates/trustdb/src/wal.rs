@@ -13,9 +13,9 @@
 //! +--------------+--------------+------------------+
 //! ```
 //!
-//! The [`SyncPolicy`] controls the durability/throughput trade-off; the T1
-//! ablation bench (`bench/benches/table1_heritage_ingest.rs`) measures the
-//! group-commit win quantitatively.
+//! The [`SyncPolicy`] controls the durability/throughput trade-off; the
+//! Table 1 harness (`bin/table1`) measures the group-commit win as
+//! `table1.wal_sync.*_ms` in `table1.json`.
 
 use crate::errors::{Error, Result};
 use crate::hash::crc32c;
@@ -118,14 +118,15 @@ impl Wal {
             .open(&path)?;
         // Determine the durable prefix so a previously-torn tail is not
         // extended (appending after garbage would orphan the new frames).
-        let replay = Self::replay_file(&mut file)?;
-        let durable_len = replay
-            .corrupt_tail_at
-            .unwrap_or_else(|| file.metadata().map(|m| m.len()).unwrap_or(0));
-        if replay.corrupt_tail_at.is_some() {
-            file.set_len(durable_len)?;
-        }
-        let frames = replay.frames.len() as u64;
+        let log = read_log(&mut file)?;
+        let mut frames = 0u64;
+        let durable_len = match scan(&log, |_| frames += 1) {
+            Some(torn_at) => {
+                file.set_len(torn_at)?;
+                torn_at
+            }
+            None => log.len() as u64,
+        };
         file.seek(SeekFrom::End(0))?;
         Ok(Wal {
             path,
@@ -259,39 +260,47 @@ impl Wal {
     }
 
     fn replay_file(file: &mut File) -> Result<Replay> {
-        file.seek(SeekFrom::Start(0))?;
-        let mut buf = Vec::new();
-        file.read_to_end(&mut buf)?;
+        let log = read_log(file)?;
         let mut frames = Vec::new();
-        let mut off = 0usize;
-        let corrupt_tail_at = loop {
-            if off == buf.len() {
-                break None;
-            }
-            if buf.len() - off < 8 {
-                break Some(off as u64); // torn header
-            }
-            // itrust-lint: allow(panic-reachable) — 4-byte slices of a bounds-checked 8-byte header always convert
-            let len = u32::from_le_bytes(buf[off..off + 4].try_into().unwrap());
-            // itrust-lint: allow(panic-reachable) — 4-byte slices of a bounds-checked 8-byte header always convert
-            let crc = u32::from_le_bytes(buf[off + 4..off + 8].try_into().unwrap());
-            if len > MAX_FRAME_LEN {
-                break Some(off as u64); // implausible length ⇒ corrupt
-            }
-            let start = off + 8;
-            let end = start + len as usize;
-            if end > buf.len() {
-                break Some(off as u64); // torn payload
-            }
-            let payload = &buf[start..end];
-            if crc32c(payload) != crc {
-                break Some(off as u64); // bit rot
-            }
-            frames.push(payload.to_vec());
-            off = end;
-        };
+        let corrupt_tail_at = scan(&log, |payload| frames.push(payload.to_vec()));
         Ok(Replay { frames, corrupt_tail_at })
     }
+}
+
+/// The whole log file, from its first byte.
+fn read_log(file: &mut File) -> Result<Vec<u8>> {
+    file.seek(SeekFrom::Start(0))?;
+    let mut log = Vec::new();
+    file.read_to_end(&mut log)?;
+    Ok(log)
+}
+
+/// Walk the frames of `log` in order, handing each intact payload to
+/// `each`. Returns the offset of the first torn or damaged frame, where
+/// valid data stops, or `None` when the log ends on a frame boundary.
+fn scan(log: &[u8], mut each: impl FnMut(&[u8])) -> Option<u64> {
+    let mut rest = log;
+    while !rest.is_empty() {
+        let Some((payload, after)) = split_frame(rest) else {
+            return Some((log.len() - rest.len()) as u64);
+        };
+        each(payload);
+        rest = after;
+    }
+    None
+}
+
+/// Split the first frame off `bytes`: its payload and what follows it.
+/// `None` when the header or payload is torn, the length is implausible
+/// (over [`MAX_FRAME_LEN`]) or the payload fails its CRC.
+fn split_frame(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
+    let (&[l0, l1, l2, l3, c0, c1, c2, c3], body) = bytes.split_first_chunk::<8>()?;
+    let len = u32::from_le_bytes([l0, l1, l2, l3]);
+    if len > MAX_FRAME_LEN {
+        return None;
+    }
+    let (payload, after) = body.split_at_checked(len as usize)?;
+    (crc32c(payload) == u32::from_le_bytes([c0, c1, c2, c3])).then_some((payload, after))
 }
 
 /// Test-only writer that forwards to the real file but fails once after
