@@ -1017,7 +1017,7 @@ mod tests {
         build_workspace(files.iter().map(|(p, s)| file_unit(p, s)).collect())
     }
 
-    fn find<'a>(w: &'a Workspace, name: &str) -> usize {
+    fn find(w: &Workspace, name: &str) -> usize {
         w.items.iter().position(|i| i.name == name).expect("item")
     }
 

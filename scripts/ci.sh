@@ -19,7 +19,7 @@ cargo run --release -q -p itrust-lint -- --self-check \
 ITRUST_THREADS=1 cargo test -q
 ITRUST_THREADS=4 cargo test -q
 
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 SCRATCH="$(mktemp -d)"
 trap 'rm -rf "$SCRATCH"' EXIT
