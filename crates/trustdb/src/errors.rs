@@ -7,8 +7,8 @@ pub type Result<T> = std::result::Result<T, Error>;
 
 /// Errors produced by the storage substrate.
 ///
-/// Corruption-class errors ([`Error::ChecksumMismatch`],
-/// [`Error::DigestMismatch`], [`Error::ChainBroken`]) are deliberately
+/// Corruption-class errors ([`Error::DigestMismatch`],
+/// [`Error::ChainBroken`], [`Error::ProofInvalid`]) are deliberately
 /// distinct from "not found" and I/O errors: in an archival setting a
 /// corruption is an *integrity incident* that must be reported and logged,
 /// never silently retried.
@@ -16,8 +16,6 @@ pub type Result<T> = std::result::Result<T, Error>;
 pub enum Error {
     /// The requested object is not present in the store.
     NotFound(String),
-    /// A stored frame failed its CRC32C check (bit rot or truncation).
-    ChecksumMismatch { context: String },
     /// A content-addressed object no longer matches its digest.
     DigestMismatch {
         expected: String,
@@ -27,8 +25,6 @@ pub enum Error {
     ChainBroken { index: u64, detail: String },
     /// A Merkle proof failed to verify.
     ProofInvalid(String),
-    /// The write-ahead log contained a frame that could not be decoded.
-    WalCorrupt { offset: u64, detail: String },
     /// Underlying I/O failure.
     Io(std::io::Error),
     /// Serialization / deserialization failure.
@@ -62,9 +58,6 @@ impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Error::NotFound(k) => write!(f, "object not found: {k}"),
-            Error::ChecksumMismatch { context } => {
-                write!(f, "checksum mismatch: {context}")
-            }
             Error::DigestMismatch { expected, actual } => {
                 write!(f, "digest mismatch: expected {expected}, got {actual}")
             }
@@ -72,9 +65,6 @@ impl fmt::Display for Error {
                 write!(f, "audit chain broken at entry {index}: {detail}")
             }
             Error::ProofInvalid(d) => write!(f, "merkle proof invalid: {d}"),
-            Error::WalCorrupt { offset, detail } => {
-                write!(f, "WAL corrupt at offset {offset}: {detail}")
-            }
             Error::Io(e) => write!(f, "I/O error: {e}"),
             Error::Codec(d) => write!(f, "codec error: {d}"),
             Error::InvariantViolation(d) => write!(f, "invariant violation: {d}"),
@@ -118,11 +108,7 @@ impl Error {
     pub fn is_integrity_incident(&self) -> bool {
         matches!(
             self,
-            Error::ChecksumMismatch { .. }
-                | Error::DigestMismatch { .. }
-                | Error::ChainBroken { .. }
-                | Error::ProofInvalid(_)
-                | Error::WalCorrupt { .. }
+            Error::DigestMismatch { .. } | Error::ChainBroken { .. } | Error::ProofInvalid(_)
         )
     }
 
@@ -158,7 +144,6 @@ mod tests {
 
     #[test]
     fn integrity_classification() {
-        assert!(Error::ChecksumMismatch { context: "x".into() }.is_integrity_incident());
         assert!(Error::DigestMismatch { expected: "a".into(), actual: "b".into() }
             .is_integrity_incident());
         assert!(Error::ChainBroken { index: 3, detail: "d".into() }.is_integrity_incident());
@@ -233,8 +218,6 @@ mod tests {
         let e = Error::DigestMismatch { expected: "aa".into(), actual: "bb".into() };
         let s = e.to_string();
         assert!(s.contains("aa") && s.contains("bb"));
-        let e = Error::WalCorrupt { offset: 42, detail: "short frame".into() };
-        assert!(e.to_string().contains("42"));
     }
 
     #[test]
