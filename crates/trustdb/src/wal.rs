@@ -3,7 +3,10 @@
 //! Every mutation of the object store and catalog is first appended here.
 //! Frames are individually checksummed (CRC-32C) so torn writes and bit rot
 //! are detected at replay time; recovery truncates at the first damaged
-//! frame, which is the standard contract for a redo log.
+//! frame, which is the standard contract for a redo log. Recovery reads
+//! the log once: [`Wal::open_replaying`] checks every frame's CRC and hands
+//! each intact payload to the caller in the same pass that finds the
+//! durable end.
 //!
 //! Frame layout (little-endian):
 //!
@@ -110,6 +113,19 @@ impl Wal {
     /// last intact frame. The log records no telemetry until
     /// [`Wal::with_obs`] attaches a context.
     pub fn open(path: impl AsRef<Path>, policy: SyncPolicy) -> Result<Self> {
+        Self::open_replaying(path, policy, |_| Ok(()))
+    }
+
+    /// [`Wal::open`] that also hands every intact frame's payload to `each`,
+    /// in append order, from the same single read-and-CRC pass. A torn or
+    /// damaged tail is never handed over; it is truncated exactly as `open`
+    /// truncates it. An `Err` from `each` stops the open and is returned,
+    /// and the file is left as it was.
+    pub fn open_replaying(
+        path: impl AsRef<Path>,
+        policy: SyncPolicy,
+        mut each: impl FnMut(&[u8]) -> Result<()>,
+    ) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         let mut file = OpenOptions::new()
             .create(true)
@@ -120,7 +136,11 @@ impl Wal {
         // extended (appending after garbage would orphan the new frames).
         let log = read_log(&mut file)?;
         let mut frames = 0u64;
-        let durable_len = match scan(&log, |_| frames += 1) {
+        let torn_at = scan(&log, |payload| {
+            frames += 1;
+            each(payload)
+        })?;
+        let durable_len = match torn_at {
             Some(torn_at) => {
                 file.set_len(torn_at)?;
                 torn_at
@@ -262,7 +282,10 @@ impl Wal {
     fn replay_file(file: &mut File) -> Result<Replay> {
         let log = read_log(file)?;
         let mut frames = Vec::new();
-        let corrupt_tail_at = scan(&log, |payload| frames.push(payload.to_vec()));
+        let corrupt_tail_at = scan(&log, |payload| {
+            frames.push(payload.to_vec());
+            Ok(())
+        })?;
         Ok(Replay { frames, corrupt_tail_at })
     }
 }
@@ -276,18 +299,19 @@ fn read_log(file: &mut File) -> Result<Vec<u8>> {
 }
 
 /// Walk the frames of `log` in order, handing each intact payload to
-/// `each`. Returns the offset of the first torn or damaged frame, where
-/// valid data stops, or `None` when the log ends on a frame boundary.
-fn scan(log: &[u8], mut each: impl FnMut(&[u8])) -> Option<u64> {
+/// `each` and stopping at its first error. Returns the offset of the first
+/// torn or damaged frame, where valid data stops, or `None` when the log
+/// ends on a frame boundary.
+fn scan(log: &[u8], mut each: impl FnMut(&[u8]) -> Result<()>) -> Result<Option<u64>> {
     let mut rest = log;
     while !rest.is_empty() {
         let Some((payload, after)) = split_frame(rest) else {
-            return Some((log.len() - rest.len()) as u64);
+            return Ok(Some((log.len() - rest.len()) as u64));
         };
-        each(payload);
+        each(payload)?;
         rest = after;
     }
-    None
+    Ok(None)
 }
 
 /// Split the first frame off `bytes`: its payload and what follows it.
@@ -537,6 +561,96 @@ mod tests {
         drop(wal);
         let wal = Wal::open(&path, SyncPolicy::GroupCommit).unwrap();
         assert_eq!(wal.replay().unwrap().frames, vec![b"fresh".to_vec()]);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Open `path` with [`Wal::open_replaying`], collecting what it hands
+    /// over.
+    fn open_collecting(path: &Path) -> (Wal, Vec<Vec<u8>>) {
+        let mut seen = Vec::new();
+        let wal = Wal::open_replaying(path, SyncPolicy::Never, |payload| {
+            seen.push(payload.to_vec());
+            Ok(())
+        })
+        .unwrap();
+        (wal, seen)
+    }
+
+    #[test]
+    fn open_replaying_hands_over_the_frames_replay_returns() {
+        let path = tmp("replaying");
+        {
+            let wal = Wal::open(&path, SyncPolicy::Never).unwrap();
+            let items: Vec<Vec<u8>> = (0..20).map(|i| vec![i as u8; i * 7]).collect();
+            wal.append_batch(items.iter().map(|v| v.as_slice())).unwrap();
+            wal.append(b"last").unwrap();
+        }
+        let (wal, seen) = open_collecting(&path);
+        assert_eq!(seen.len(), 21);
+        assert_eq!(seen, wal.replay().unwrap().frames);
+        assert_eq!(wal.frame_count(), 21);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn open_replaying_skips_and_truncates_a_damaged_tail_as_open_does() {
+        // A torn header after the last frame, or a rotten last payload
+        // (valid length, bad CRC).
+        for torn in [true, false] {
+            let name = if torn { "torn" } else { "rotten" };
+            let (plain, replaying) = (tmp(&format!("{name}-open")), tmp(&format!("{name}-rep")));
+            {
+                let wal = Wal::open(&plain, SyncPolicy::Never).unwrap();
+                for frame in [b"first".as_slice(), b"second", b"third frame"] {
+                    wal.append(frame).unwrap();
+                }
+            }
+            let mut log = std::fs::read(&plain).unwrap();
+            if torn {
+                log.extend_from_slice(&[0x09, 0x00, 0x00]);
+            } else {
+                let last = log.len() - 1;
+                log[last] ^= 0x01;
+            }
+            std::fs::write(&plain, &log).unwrap();
+            std::fs::write(&replaying, &log).unwrap();
+
+            let opened = Wal::open(&plain, SyncPolicy::Never).unwrap();
+            let (wal, seen) = open_collecting(&replaying);
+            assert_eq!(seen, opened.replay().unwrap().frames, "{name}");
+            assert_eq!(seen.len(), if torn { 3 } else { 2 }, "{name}");
+            assert_eq!(wal.frame_count(), opened.frame_count(), "{name}");
+            assert_eq!(wal.len_bytes(), opened.len_bytes(), "{name}");
+            assert_eq!(std::fs::read(&replaying).unwrap(), std::fs::read(&plain).unwrap());
+            std::fs::remove_file(&plain).unwrap();
+            std::fs::remove_file(&replaying).unwrap();
+        }
+    }
+
+    #[test]
+    fn open_replaying_returns_the_visitors_error_and_leaves_the_file() {
+        let path = tmp("visitor-err");
+        {
+            let wal = Wal::open(&path, SyncPolicy::Never).unwrap();
+            for frame in [b"one".as_slice(), b"two", b"three"] {
+                wal.append(frame).unwrap();
+            }
+        }
+        // A torn tail too: a failed open must not truncate it either.
+        let mut log = std::fs::read(&path).unwrap();
+        log.extend_from_slice(&[0xde, 0xad]);
+        std::fs::write(&path, &log).unwrap();
+        let mut visited = 0;
+        let result = Wal::open_replaying(&path, SyncPolicy::Never, |payload| {
+            visited += 1;
+            if payload == b"two" {
+                return Err(Error::Codec("stop at two".into()));
+            }
+            Ok(())
+        });
+        assert!(matches!(result, Err(Error::Codec(ref d)) if d == "stop at two"));
+        assert_eq!(visited, 2);
+        assert_eq!(std::fs::read(&path).unwrap(), log);
         std::fs::remove_file(&path).unwrap();
     }
 
