@@ -79,37 +79,41 @@ impl<B: Backend> Repository<B> {
     }
 
     /// Ingest a SIP: validate, persist contents, form and persist the AIP.
-    pub fn ingest(&self, sip: Sip, timestamp_ms: u64, archivist: &str) -> Result<AccessionReceipt> {
+    pub fn ingest(
+        &self,
+        mut sip: Sip,
+        timestamp_ms: u64,
+        archivist: &str,
+    ) -> Result<AccessionReceipt> {
         let obs = self.store.obs();
         let _span = itrust_obs::span!(obs, "archival.ingest");
-        let problems = obs.time("archival.ingest.validate", || sip.validate());
-        if !problems.is_empty() {
-            self.audit.append(
-                timestamp_ms,
-                archivist,
-                EventKind::Ingest,
-                format!("sip from {}", sip.producer),
-                format!("REJECTED: {} validation problems", problems.len()),
-            )?;
-            itrust_obs::counter_inc!(obs, "archival.ingest.rejected");
-            return Err(ArchivalError::ValidationFailed(problems));
-        }
+        // Validation moves the contents out of the SIP, so count them first.
+        let payload_bytes = sip.payload_bytes();
+        let contents = match obs.time("archival.ingest.validate", || sip.validate()) {
+            Ok(contents) => contents,
+            Err(problems) => {
+                self.audit.append(
+                    timestamp_ms,
+                    archivist,
+                    EventKind::Ingest,
+                    format!("sip from {}", sip.producer),
+                    format!("REJECTED: {} validation problems", problems.len()),
+                )?;
+                itrust_obs::counter_inc!(obs, "archival.ingest.rejected");
+                return Err(ArchivalError::ValidationFailed(problems));
+            }
+        };
         if sip.items.is_empty() {
             return Err(ArchivalError::InvariantViolation("SIP has no items".into()));
         }
         let aip_id = format!("aip-{:06}", self.next_aip.fetch_add(1, Ordering::SeqCst));
-        let payload_bytes = sip.payload_bytes();
-        // Persist contents (content addressing dedups automatically). The
-        // whole batch is handed to the store at once so item digests are
-        // computed in parallel while writes proceed in submission order
-        // (hash-while-copy).
+        // Persist contents under the digests validation computed, in
+        // submission order, without hashing them again (content
+        // addressing dedups automatically).
         let persist_span = itrust_obs::span!(obs, "archival.ingest.persist");
-        let mut items = sip.items;
-        let contents: Vec<Vec<u8>> =
-            items.iter_mut().map(|item| std::mem::take(&mut item.content)).collect();
         let stored_digests = self.store.put_many(contents)?;
-        let mut entries = Vec::with_capacity(items.len());
-        for (mut item, stored) in items.into_iter().zip(stored_digests) {
+        let mut entries = Vec::with_capacity(sip.items.len());
+        for (mut item, stored) in sip.items.into_iter().zip(stored_digests) {
             debug_assert_eq!(stored, item.record.content_digest);
             item.provenance.append(
                 timestamp_ms,
@@ -366,10 +370,20 @@ mod tests {
         let repo = repo();
         let mut bad = item("r1", b"original", Classification::Public);
         bad.content = b"swapped".to_vec();
-        let err = repo.ingest(Sip::new("P", 1).with_item(bad), 1_000, "archivist");
-        assert!(matches!(err, Err(ArchivalError::ValidationFailed(_))));
-        // Rejection is audited; nothing was stored.
+        let sip = Sip::new("P", 1).with_item(item("r0", b"fine", Classification::Public));
+        let err = repo.ingest(sip.with_item(bad), 1_000, "archivist");
+        let Err(ArchivalError::ValidationFailed(problems)) = err else {
+            panic!("expected a validation failure, got {err:?}");
+        };
+        let want: Vec<(String, String)> = vec![
+            ("r1".into(), "content does not match declared digest".into()),
+            ("r1".into(), "content size mismatch".into()),
+        ];
+        assert_eq!(problems, want);
+        // Rejection is audited; nothing was stored, not even the valid item.
         assert_eq!(repo.audit().len(), 1);
+        let rejected = repo.audit().query(|e| e.kind == EventKind::Ingest);
+        assert_eq!(rejected[0].detail, "REJECTED: 2 validation problems");
         assert_eq!(repo.store().object_count(), 0);
     }
 

@@ -15,6 +15,7 @@ use crate::record::{Record, RecordId};
 use serde::{Deserialize, Serialize};
 use trustdb::hash::Digest;
 use trustdb::merkle::{InclusionProof, MerkleTree};
+use trustdb::store::Hashed;
 
 /// Manifest schema version (bumped on breaking layout changes so future
 /// migrations can dispatch).
@@ -63,21 +64,29 @@ impl Sip {
         self
     }
 
-    /// Validate internal consistency: digests bind, ids are unique, identity
-    /// metadata is present. Returns per-record problems.
-    pub fn validate(&self) -> Vec<(String, String)> {
+    /// Validate internal consistency: digests bind, sizes match, ids are
+    /// unique, identity metadata is present.
+    ///
+    /// Each item's content moves out of the SIP and is hashed exactly once,
+    /// in parallel ([`Hashed::all`]), so take [`Sip::payload_bytes`] first.
+    /// A valid SIP yields the hashed contents in item order, ready for
+    /// `ObjectStore::put_many`; an invalid one yields its per-record
+    /// problems, item by item in submission order.
+    pub fn validate(&mut self) -> std::result::Result<Vec<Hashed>, Vec<(String, String)>> {
+        let contents: Vec<Vec<u8>> =
+            self.items.iter_mut().map(|item| std::mem::take(&mut item.content)).collect();
+        let contents = Hashed::all(contents);
         let mut problems = Vec::new();
         let mut seen = std::collections::HashSet::new();
-        for item in &self.items {
+        for (item, content) in self.items.iter().zip(&contents) {
             let id = item.record.id.as_str().to_string();
             if !seen.insert(id.clone()) {
                 problems.push((id.clone(), "duplicate record id in SIP".into()));
             }
-            let actual = trustdb::hash::sha256(&item.content);
-            if actual != item.record.content_digest {
+            if content.digest() != item.record.content_digest {
                 problems.push((id.clone(), "content does not match declared digest".into()));
             }
-            if item.record.content_size != item.content.len() as u64 {
+            if item.record.content_size != content.bytes().len() as u64 {
                 problems.push((id.clone(), "content size mismatch".into()));
             }
             if item.record.title.is_empty() {
@@ -95,7 +104,11 @@ impl Sip {
                 ));
             }
         }
-        problems
+        if problems.is_empty() {
+            Ok(contents)
+        } else {
+            Err(problems)
+        }
     }
 
     /// Total content bytes across items.
@@ -273,34 +286,60 @@ mod tests {
 
     #[test]
     fn sip_builder_and_validation_clean() {
-        let sip = Sip::new("Producer Org", 2_000)
+        let mut sip = Sip::new("Producer Org", 2_000)
             .under_agreement("dsa-2022-01")
             .with_item(item("r1", b"alpha"))
             .with_item(item("r2", b"beta"));
         assert_eq!(sip.items.len(), 2);
         assert_eq!(sip.payload_bytes(), 9);
-        assert!(sip.validate().is_empty());
+        // A valid SIP hands back its contents, hashed, in item order.
+        let contents = sip.validate().unwrap();
+        let digests: Vec<Digest> = contents.iter().map(Hashed::digest).collect();
+        assert_eq!(digests, vec![trustdb::hash::sha256(b"alpha"), trustdb::hash::sha256(b"beta")]);
+        assert_eq!(contents[1].bytes(), b"beta");
+        assert_eq!(sip.payload_bytes(), 0, "the contents moved out of the SIP");
     }
 
     #[test]
     fn sip_validation_catches_digest_mismatch() {
         let mut bad = item("r1", b"alpha");
         bad.content = b"tampered in transit".to_vec();
-        let sip = Sip::new("P", 1).with_item(bad);
-        let problems = sip.validate();
+        let mut sip = Sip::new("P", 1).with_item(bad);
+        let problems = sip.validate().unwrap_err();
         assert!(problems.iter().any(|(_, p)| p.contains("digest")));
         assert!(problems.iter().any(|(_, p)| p.contains("size")));
+    }
+
+    #[test]
+    fn sip_validation_pins_each_problem_in_item_order() {
+        // Same length, other bytes: a wrong digest alone.
+        let mut wrong_digest = item("r1", b"alpha");
+        wrong_digest.content = b"alphb".to_vec();
+        // The declared size alone is wrong.
+        let mut wrong_size = item("r2", b"beta");
+        wrong_size.record.content_size = 5;
+        let mut sip = Sip::new("P", 1)
+            .with_item(wrong_digest)
+            .with_item(wrong_size)
+            .with_item(item("r3", b"gamma"))
+            .with_item(item("r3", b"gamma"));
+        let want: Vec<(String, String)> = vec![
+            ("r1".into(), "content does not match declared digest".into()),
+            ("r2".into(), "content size mismatch".into()),
+            ("r3".into(), "duplicate record id in SIP".into()),
+        ];
+        assert_eq!(sip.validate().unwrap_err(), want);
     }
 
     #[test]
     fn sip_validation_catches_duplicates_and_missing_metadata() {
         let mut no_title = item("r2", b"x");
         no_title.record.title.clear();
-        let sip = Sip::new("P", 1)
+        let mut sip = Sip::new("P", 1)
             .with_item(item("r1", b"a"))
             .with_item(item("r1", b"a"))
             .with_item(no_title);
-        let problems = sip.validate();
+        let problems = sip.validate().unwrap_err();
         assert!(problems.iter().any(|(_, p)| p.contains("duplicate")));
         assert!(problems.iter().any(|(_, p)| p.contains("title")));
     }
@@ -313,9 +352,10 @@ mod tests {
             .provenance
             .append(1, "x", EventKind::Creation, "success", "")
             .unwrap();
-        let sip = Sip::new("P", 1).with_item(alien);
+        let mut sip = Sip::new("P", 1).with_item(alien);
         assert!(sip
             .validate()
+            .unwrap_err()
             .iter()
             .any(|(_, p)| p.contains("different record")));
     }

@@ -3,6 +3,7 @@
 use archival_core::oais::{Sip, SubmissionItem};
 use archival_core::provenance::ProvenanceChain;
 use trustdb::event::EventKind;
+use trustdb::store::Hashed;
 use archival_core::record::{Classification, DocumentaryForm, Record};
 use archival_core::redaction::Redactor;
 use archival_core::retention::{Disposition, RetentionRule, RetentionSchedule};
@@ -68,21 +69,29 @@ proptest! {
         let record = record_over(&content, "Title", 10);
         let mut provenance = ProvenanceChain::new("rec-x");
         provenance.append(5, "creator", EventKind::Creation, "success", "").unwrap();
-        let good = Sip::new("P", 100).with_item(SubmissionItem {
+        let mut good = Sip::new("P", 100).with_item(SubmissionItem {
             record: record.clone(),
             content: content.clone(),
             provenance: provenance.clone(),
         });
-        prop_assert!(good.validate().is_empty());
-        // Append a byte → digest mismatch must be caught.
+        // A valid SIP hands back its content, hashed once.
+        let hashed: Result<Vec<trustdb::hash::Digest>, _> =
+            good.validate().map(|items| items.iter().map(Hashed::digest).collect());
+        prop_assert_eq!(hashed, Ok(vec![trustdb::hash::sha256(&content)]));
+        // Append a byte → digest and size mismatch must be caught.
         let mut tampered_content = content.clone();
         tampered_content.push(0x7f);
-        let bad = Sip::new("P", 100).with_item(SubmissionItem {
+        let mut bad = Sip::new("P", 100).with_item(SubmissionItem {
             record,
             content: tampered_content,
             provenance,
         });
-        prop_assert!(!bad.validate().is_empty());
+        let problems: Vec<String> =
+            bad.validate().err().unwrap_or_default().into_iter().map(|(_, p)| p).collect();
+        prop_assert_eq!(
+            problems,
+            vec!["content does not match declared digest", "content size mismatch"]
+        );
     }
 
     /// Retention: once due, always due (monotone in time); never due before

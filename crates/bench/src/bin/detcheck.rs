@@ -17,7 +17,7 @@ use neural::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use trustdb::hash::sha256;
-use trustdb::store::{MemoryBackend, ObjectStore};
+use trustdb::store::{Hashed, MemoryBackend, ObjectStore};
 
 fn tensor_digest(t: &Tensor) -> String {
     let bytes: Vec<u8> = t.data().iter().flat_map(|v| v.to_bits().to_le_bytes()).collect();
@@ -57,7 +57,7 @@ fn store_digests() -> Vec<(String, String)> {
         .collect();
     let store = ObjectStore::new(MemoryBackend::new());
     store
-        .put_many(payloads)
+        .put_many(Hashed::all(payloads))
         .unwrap()
         .into_iter()
         .enumerate()

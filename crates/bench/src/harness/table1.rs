@@ -174,8 +174,8 @@ mod tests {
 
     #[test]
     fn sips_validate() {
-        let sip = fond_sip("Judgments of military courts", 3.0, 3);
-        assert!(sip.validate().is_empty());
+        let mut sip = fond_sip("Judgments of military courts", 3.0, 3);
+        assert!(sip.validate().is_ok());
         assert!(sip.items.len() >= 9);
     }
 }

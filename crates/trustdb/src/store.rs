@@ -11,6 +11,13 @@
 //! * **Verifiability** — fixity checking is re-hashing; no side-channel
 //!   checksum database can drift out of sync with the data.
 //!
+//! Content is hashed once on its way in. [`Hashed`] pairs bytes with their
+//! SHA-256 and can only be built by hashing them, so the digest computed
+//! where content is checked (SIP validation, WAL replay, a shard put) is
+//! the digest the store keys on: [`ObjectStore::put_hashed`] and
+//! [`ObjectStore::put_many`] take it as is, and only [`ObjectStore::put`]
+//! hashes.
+//!
 //! [`MemoryBackend`] is the one leaf backend. Durable bytes live in the
 //! shard write-ahead log (`itrust-service`), which replays into a
 //! `MemoryBackend` on open. [`crate::replica`], [`crate::fault`] and
@@ -128,6 +135,56 @@ impl Backend for MemoryBackend {
     }
 }
 
+/// Bytes together with their SHA-256 digest.
+///
+/// The fields are private and the only constructors hash, so a `Hashed`
+/// always carries the digest of exactly its bytes: a store may key on it
+/// without hashing again. A digest cannot be attached from outside:
+///
+/// ```compile_fail,E0451
+/// let forged = trustdb::store::Hashed {
+///     bytes: Default::default(),
+///     digest: trustdb::Digest::zero(),
+/// };
+/// ```
+#[derive(Debug)]
+pub struct Hashed {
+    bytes: Bytes,
+    digest: Digest,
+}
+
+impl Hashed {
+    /// Hash `bytes`.
+    pub fn new(bytes: impl Into<Bytes>) -> Self {
+        let bytes = bytes.into();
+        let digest = sha256(&bytes);
+        Hashed { bytes, digest }
+    }
+
+    /// Hash a batch in parallel over itrust-par, results in input order.
+    /// Each item is a chunk of its own: batch items differ in size by
+    /// orders of magnitude (page scans next to masters), and per-item
+    /// chunks let an idle thread take the next item, so a batch's largest
+    /// items land on different threads.
+    pub fn all(items: Vec<impl Into<Bytes>>) -> Vec<Self> {
+        let items: Vec<Bytes> = items.into_iter().map(Into::into).collect();
+        let digests = itrust_par::par_map_chunks(&items, 1, |_, chunk| {
+            chunk.iter().map(|bytes| sha256(bytes)).collect()
+        });
+        items.into_iter().zip(digests).map(|(bytes, digest)| Hashed { bytes, digest }).collect()
+    }
+
+    /// The SHA-256 of [`Hashed::bytes`].
+    pub fn digest(&self) -> Digest {
+        self.digest
+    }
+
+    /// The hashed bytes.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+}
+
 /// Content-addressed object store over any [`Backend`].
 pub struct ObjectStore<B: Backend> {
     backend: B,
@@ -166,28 +223,29 @@ impl<B: Backend> ObjectStore<B> {
     /// Store `bytes`, returning the content address. Idempotent.
     pub fn put(&self, bytes: impl Into<Bytes>) -> Result<Digest> {
         let _span = itrust_obs::span!(self.obs, "trustdb.store.put");
-        let bytes = bytes.into();
-        itrust_obs::counter_add!(self.obs, "trustdb.store.put_bytes", bytes.len() as u64);
-        let digest = sha256(&bytes);
-        self.backend.put_raw(&digest, bytes)?;
-        Ok(digest)
+        self.write(Hashed::new(bytes))
     }
 
-    /// Store a batch of objects, returning their content addresses in input
-    /// order. Digests are computed in parallel over the batch while the
-    /// backend writes proceed serially in submission order (hash-while-copy:
-    /// on ingest the expensive hashing overlaps across items instead of
-    /// alternating hash/write per item). Idempotent per item; stops at the
-    /// first backend error.
-    pub fn put_many(&self, items: Vec<impl Into<Bytes>>) -> Result<Vec<Digest>> {
+    /// Store an object hashed by the caller, under the digest it carries.
+    /// Idempotent.
+    pub fn put_hashed(&self, object: Hashed) -> Result<Digest> {
+        let _span = itrust_obs::span!(self.obs, "trustdb.store.put");
+        self.write(object)
+    }
+
+    /// Store a batch of hashed objects (see [`Hashed::all`]) in order,
+    /// returning their content addresses in input order. Idempotent per
+    /// item; stops at the first backend error.
+    pub fn put_many(&self, objects: Vec<Hashed>) -> Result<Vec<Digest>> {
         let _span = itrust_obs::span!(self.obs, "trustdb.store.put_many");
-        let items: Vec<Bytes> = items.into_iter().map(Into::into).collect();
-        let digests: Vec<Digest> = itrust_par::par_map(&items, |b| sha256(b));
-        for (digest, bytes) in digests.iter().zip(items) {
-            itrust_obs::counter_add!(self.obs, "trustdb.store.put_bytes", bytes.len() as u64);
-            self.backend.put_raw(digest, bytes)?;
-        }
-        Ok(digests)
+        objects.into_iter().map(|object| self.write(object)).collect()
+    }
+
+    fn write(&self, object: Hashed) -> Result<Digest> {
+        let Hashed { bytes, digest } = object;
+        itrust_obs::counter_add!(self.obs, "trustdb.store.put_bytes", bytes.len() as u64);
+        self.backend.put_raw(&digest, bytes)?;
+        Ok(digest)
     }
 
     /// Fetch the object at `digest`.
@@ -269,18 +327,48 @@ mod tests {
 
     #[test]
     fn put_many_matches_individual_puts_in_order() {
-        let batch = ObjectStore::new(MemoryBackend::new());
-        let single = ObjectStore::new(MemoryBackend::new());
-        let items: Vec<Bytes> =
+        // Ten sizes, one duplicate: the three write paths must key every
+        // object the same way and leave identical backends.
+        let mut items: Vec<Bytes> =
             (0..10u8).map(|i| Bytes::from(vec![i; 100 * (i as usize + 1)])).collect();
-        let got = batch.put_many(items.clone()).unwrap();
-        let want: Vec<Digest> =
-            items.iter().map(|b| single.put(b.clone()).unwrap()).collect();
+        items.push(items[3].clone());
+        let (single, hashed, batch) = (
+            ObjectStore::new(MemoryBackend::new()),
+            ObjectStore::new(MemoryBackend::new()),
+            ObjectStore::new(MemoryBackend::new()),
+        );
+        let want: Vec<Digest> = items.iter().map(|b| single.put(b.clone()).unwrap()).collect();
+        let got: Vec<Digest> =
+            items.iter().map(|b| hashed.put_hashed(Hashed::new(b.clone())).unwrap()).collect();
         assert_eq!(got, want);
-        assert_eq!(batch.object_count(), 10);
-        for (d, b) in got.iter().zip(&items) {
-            assert_eq!(&batch.get(d).unwrap(), b);
+        for threads in [1, 4] {
+            let batch_got =
+                itrust_par::with_threads(threads, || batch.put_many(Hashed::all(items.clone())))
+                    .unwrap();
+            assert_eq!(batch_got, want, "threads={threads}");
         }
+        for (d, b) in want.iter().zip(&items) {
+            assert_eq!(*d, sha256(b));
+        }
+        for store in [&hashed, &batch] {
+            assert_eq!(store.list(), single.list());
+            assert_eq!(store.object_count(), 10);
+            assert_eq!(store.payload_bytes(), single.payload_bytes());
+            for (d, b) in want.iter().zip(&items) {
+                assert_eq!(&store.get(d).unwrap(), b);
+            }
+        }
+    }
+
+    #[test]
+    fn hashed_carries_the_digest_of_its_bytes() {
+        let object = Hashed::new(b"a page scan".as_slice());
+        assert_eq!(object.digest(), sha256(b"a page scan"));
+        assert_eq!(object.bytes(), b"a page scan");
+        let all = Hashed::all(vec![b"one".to_vec(), Vec::new(), b"three".to_vec()]);
+        let digests: Vec<Digest> = all.iter().map(Hashed::digest).collect();
+        assert_eq!(digests, vec![sha256(b"one"), sha256(b""), sha256(b"three")]);
+        assert!(Hashed::all(Vec::<Bytes>::new()).is_empty());
     }
 
     #[test]

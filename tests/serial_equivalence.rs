@@ -80,19 +80,19 @@ fn conv2d_forward_equals_retained_naive_reference() {
     }
 }
 
-/// Multi-block store puts, hashed across the batch by `put_many`, must
+/// Multi-block store puts, hashed across the batch by `Hashed::all`, must
 /// produce identical digests at every thread count, all equal to the
 /// serial one-shot SHA-256.
 #[test]
 fn store_digests_identical_across_thread_counts() {
-    use trustdb::store::{MemoryBackend, ObjectStore};
+    use trustdb::store::{Hashed, MemoryBackend, ObjectStore};
     let payloads: Vec<Vec<u8>> = (0..4usize)
         .map(|i| (0..64 * 1024 + i * 31 + 5).map(|j| ((i + j) % 251) as u8).collect())
         .collect();
     let digests = |threads: usize| {
         par::with_threads(threads, || {
             let store = ObjectStore::new(MemoryBackend::new());
-            store.put_many(payloads.clone()).unwrap()
+            store.put_many(Hashed::all(payloads.clone())).unwrap()
         })
     };
     let serial = digests(1);
@@ -200,7 +200,7 @@ fn telemetry_counters_identical_across_thread_counts() {
     use escs::graph::Topology;
     use escs::sim::{run, SimConfig};
     use itrust_obs::ObsCtx;
-    use trustdb::store::{MemoryBackend, ObjectStore};
+    use trustdb::store::{Hashed, MemoryBackend, ObjectStore};
 
     let telemetry = |threads: usize| {
         par::with_threads(threads, || {
@@ -213,9 +213,8 @@ fn telemetry_counters_identical_across_thread_counts() {
             );
             run(&config, &ctx);
             let store = ObjectStore::new(MemoryBackend::new()).with_obs(ctx.clone());
-            store
-                .put_many((0..32usize).map(|i| vec![i as u8; 1024 + i]).collect::<Vec<_>>())
-                .unwrap();
+            let objects = Hashed::all((0..32usize).map(|i| vec![i as u8; 1024 + i]).collect());
+            store.put_many(objects).unwrap();
             let snap = ctx.snapshot();
             let hist_counts: Vec<(String, u64)> =
                 snap.histograms.iter().map(|(k, h)| (k.clone(), h.count)).collect();
