@@ -33,7 +33,7 @@ use trustdb::errors::{Error, Result};
 use trustdb::fixity::{FixityAuditor, FixityReport};
 use trustdb::hash::{sha256, Digest};
 use trustdb::merkle::MerkleTree;
-use trustdb::store::{MemoryBackend, ObjectStore};
+use trustdb::store::{Hashed, MemoryBackend, ObjectStore};
 use trustdb::wal::{SyncPolicy, Wal};
 
 /// Deterministic shard routing: SHA-256 over the length-prefixed tenant
@@ -115,26 +115,26 @@ fn encode_frame(tenant: &str, key: &str, digest: &Digest, payload: &[u8]) -> Vec
     buf
 }
 
-/// Decode a frame produced by [`encode_frame`]. The bytes come from disk
-/// at recovery, so every read is checked.
-fn decode_frame(frame: &[u8]) -> Result<(String, String, Digest, Vec<u8>)> {
+/// Decode a frame produced by [`encode_frame`], borrowing from it. The
+/// bytes come from disk at recovery, so every read is checked.
+fn decode_frame(frame: &[u8]) -> Result<(&str, &str, Digest, &[u8])> {
     fn corrupt(detail: &str) -> Error {
         Error::Codec(format!("service WAL frame: {detail}"))
     }
-    fn take_str(buf: &[u8]) -> Result<(String, &[u8])> {
+    fn take_str(buf: &[u8]) -> Result<(&str, &[u8])> {
         let (len, rest) =
             buf.split_first_chunk::<4>().ok_or_else(|| corrupt("truncated length"))?;
         let (name, rest) = rest
             .split_at_checked(u32::from_le_bytes(*len) as usize)
             .ok_or_else(|| corrupt("truncated string"))?;
         let name = std::str::from_utf8(name).map_err(|_| corrupt("non-utf8 name"))?;
-        Ok((name.to_string(), rest))
+        Ok((name, rest))
     }
     let (tenant, rest) = take_str(frame)?;
     let (key, rest) = take_str(rest)?;
     let (digest, payload) =
         rest.split_first_chunk::<32>().ok_or_else(|| corrupt("truncated digest"))?;
-    Ok((tenant, key, Digest(*digest), payload.to_vec()))
+    Ok((tenant, key, Digest(*digest), payload))
 }
 
 impl Shard {
@@ -148,26 +148,28 @@ impl Shard {
         let wal = match wal {
             None => None,
             Some(cfg) => {
+                let _span = itrust_obs::span!(obs, "service.shard.replay");
                 std::fs::create_dir_all(&cfg.dir)?;
-                let wal = Wal::open(cfg.dir.join(format!("shard-{index}.wal")), cfg.sync)?
-                    .with_obs(obs.clone());
-                // Recovery: replay every intact frame into the store and
-                // catalog. Each payload is re-hashed; a frame whose bytes no
-                // longer match their recorded digest is an integrity
-                // incident, not a recoverable tail.
-                for frame in wal.replay()?.frames {
-                    let (tenant, key, digest, payload) = decode_frame(&frame)?;
-                    let actual = sha256(&payload);
-                    if actual != digest {
+                // Recovery: the log's single read-and-CRC pass hands every
+                // intact frame here, to go into the store and catalog. Each
+                // payload is copied once and hashed once; a frame whose
+                // bytes no longer match their recorded digest is an
+                // integrity incident, not a recoverable tail.
+                let path = cfg.dir.join(format!("shard-{index}.wal"));
+                let wal = Wal::open_replaying(path, cfg.sync, |frame| {
+                    let (tenant, key, digest, payload) = decode_frame(frame)?;
+                    let object = Hashed::new(payload);
+                    if object.digest() != digest {
                         return Err(Error::DigestMismatch {
                             expected: digest.to_hex(),
-                            actual: actual.to_hex(),
+                            actual: object.digest().to_hex(),
                         });
                     }
-                    store.put(payload)?;
-                    catalog.insert((tenant, key), digest);
-                }
-                Some(wal)
+                    store.put_hashed(object)?;
+                    catalog.insert((tenant.to_string(), key.to_string()), digest);
+                    Ok(())
+                })?;
+                Some(wal.with_obs(obs.clone()))
             }
         };
         Ok(Shard { index, store, wal, audit: AuditLog::new(), catalog: RwLock::new(catalog) })
@@ -192,7 +194,8 @@ impl Shard {
     /// pass the check. The catalog is the shard's outermost lock: `get`,
     /// `fixity_root` and `object_count` take it alone, `verify` never.
     pub fn put(&self, tenant: &str, key: &str, payload: Bytes, now_ms: u64) -> Result<PutOutcome> {
-        let digest = sha256(&payload);
+        let object = Hashed::new(payload);
+        let digest = object.digest();
         let scoped = (tenant.to_string(), key.to_string());
         let mut catalog = self.catalog.write();
         if let Some(existing) = catalog.get(&scoped) {
@@ -204,10 +207,9 @@ impl Shard {
             )));
         }
         if let Some(wal) = &self.wal {
-            wal.append(&encode_frame(tenant, key, &digest, &payload))?;
+            wal.append(&encode_frame(tenant, key, &digest, object.bytes()))?;
         }
-        let stored = self.store.put(payload)?;
-        debug_assert_eq!(stored, digest);
+        self.store.put_hashed(object)?;
         catalog.insert(scoped, digest);
         self.audit.append(
             now_ms,
@@ -295,13 +297,24 @@ pub struct ShardedStore {
 
 impl ShardedStore {
     /// Open a store per `config`, replaying any existing per-shard WALs.
+    ///
+    /// Shards open in parallel over `itrust-par`, each thread taking one
+    /// contiguous, equal share of the shard indices. Equal shares, rather
+    /// than one shard per task, keep each thread's replay allocations
+    /// balanced across the allocator's per-thread arenas, which holds peak
+    /// memory where a serial open had it. When shards fail to open, the
+    /// error of the lowest-numbered one is returned.
     pub fn open(config: &ShardedConfig, obs: ObsCtx) -> Result<Self> {
         if config.shards == 0 {
             return Err(Error::InvariantViolation("shard count must be ≥ 1".into()));
         }
-        let shards = (0..config.shards)
-            .map(|i| Shard::open(i, config.wal.as_ref(), &obs))
-            .collect::<Result<Vec<_>>>()?;
+        let indices: Vec<usize> = (0..config.shards).collect();
+        let share = config.shards.div_ceil(itrust_par::current_threads());
+        let shards = itrust_par::par_map_chunks(&indices, share, |_, chunk| {
+            chunk.iter().map(|&i| Shard::open(i, config.wal.as_ref(), &obs)).collect()
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>>>()?;
         Ok(ShardedStore { shards, tenants: RwLock::new(BTreeMap::new()), obs })
     }
 
@@ -611,6 +624,46 @@ mod tests {
     }
 
     #[test]
+    fn replay_rejects_a_payload_its_digest_does_not_name() {
+        // Frames with valid CRCs whose payloads differ from their recorded
+        // digests, in shards 1 and 3: an integrity incident at any thread
+        // count, reported for the lowest shard, with every log untouched.
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("itrust-service-forged-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ShardedConfig::durable(4, &dir, SyncPolicy::Never);
+        {
+            let store = ShardedStore::open(&config, ObsCtx::null()).unwrap();
+            store.register_tenant("alpha", Quota::unlimited()).unwrap();
+            for i in 0..16u8 {
+                store.put("alpha", &format!("k{i}"), Bytes::from(vec![i; 50]), 0).unwrap();
+            }
+        }
+        for (shard, claimed) in [(3, b"three".as_slice()), (1, b"one")] {
+            let wal = Wal::open(dir.join(format!("shard-{shard}.wal")), SyncPolicy::Never).unwrap();
+            wal.append(&encode_frame("alpha", "forged", &sha256(claimed), b"forged")).unwrap();
+        }
+        let logs = || -> Vec<Vec<u8>> {
+            (0..4).map(|i| std::fs::read(dir.join(format!("shard-{i}.wal"))).unwrap()).collect()
+        };
+        let before = logs();
+        for threads in [1, 2, 4] {
+            let opened = itrust_par::with_threads(threads, || {
+                ShardedStore::open(&config, ObsCtx::null()).map(|_| ())
+            });
+            match opened {
+                Err(Error::DigestMismatch { expected, actual }) => {
+                    assert_eq!(expected, sha256(b"one").to_hex(), "threads={threads}");
+                    assert_eq!(actual, sha256(b"forged").to_hex(), "threads={threads}");
+                }
+                other => panic!("threads={threads}: expected DigestMismatch, got {other:?}"),
+            }
+        }
+        assert_eq!(logs(), before, "a failed replay must leave every log as it was");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn racing_puts_of_one_key_admit_exactly_one() {
         // Two writers put the same keys with their own bytes. Records are
         // immutable, so exactly one put per key may succeed, the audit
@@ -665,9 +718,8 @@ mod tests {
     fn frame_codec_round_trips_and_rejects_truncation() {
         let d = sha256(b"payload");
         let frame = encode_frame("tenant-x", "key/17", &d, b"payload");
-        let (t, k, dd, p) = decode_frame(&frame).unwrap();
-        assert_eq!((t.as_str(), k.as_str(), dd, p.as_slice()),
-                   ("tenant-x", "key/17", d, b"payload".as_slice()));
+        let decoded = decode_frame(&frame).unwrap();
+        assert_eq!(decoded, ("tenant-x", "key/17", d, b"payload".as_slice()));
         for cut in [0, 3, 10, frame.len() - 40] {
             assert!(matches!(decode_frame(&frame[..cut]), Err(Error::Codec(_))));
         }

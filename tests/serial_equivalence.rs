@@ -190,6 +190,56 @@ fn service_shard_roots_and_counters_identical_across_thread_counts() {
     assert_eq!(run(2), serial);
 }
 
+/// Durable recovery: a store written once must reopen — its shard logs
+/// replayed in parallel, one contiguous share of shards per thread — to
+/// the same fixity roots, object count, WAL frame counts and bytes at
+/// every thread count.
+#[test]
+fn durable_reopen_identical_across_thread_counts() {
+    use bytes::Bytes;
+    use itrust_core::service::{Quota, ShardedConfig, ShardedStore};
+    use itrust_obs::ObsCtx;
+    use trustdb::wal::SyncPolicy;
+
+    const TENANTS: [&str; 3] = ["alpha", "beta", "gamma"];
+    let dir = std::env::temp_dir().join(format!("itrust-serial-reopen-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ShardedConfig::durable(5, &dir, SyncPolicy::Never);
+    let objects: Vec<(&str, String, Bytes)> = (0..300usize)
+        .map(|i| (TENANTS[i % 3], format!("k{i}"), Bytes::from(vec![(i % 251) as u8; 40 + i % 97])))
+        .collect();
+    let open = || {
+        let store = ShardedStore::open(&config, ObsCtx::null()).unwrap();
+        for tenant in TENANTS {
+            store.register_tenant(tenant, Quota::unlimited()).unwrap();
+        }
+        store
+    };
+    {
+        let store = open();
+        for (i, (tenant, key, payload)) in objects.iter().enumerate() {
+            store.put(tenant, key, payload.clone(), i as u64).unwrap();
+        }
+    }
+    let reopen = |threads: usize| {
+        par::with_threads(threads, || {
+            let store = open();
+            let gets: Vec<Bytes> =
+                objects.iter().map(|(tenant, key, _)| store.get(tenant, key).unwrap()).collect();
+            let frames: Vec<u64> = store.shards().iter().map(|s| s.wal_frames()).collect();
+            (store.fixity_roots(), store.object_count(), frames, gets)
+        })
+    };
+    let serial = reopen(1);
+    assert_eq!(serial.1, objects.len());
+    assert_eq!(serial.2.iter().sum::<u64>(), objects.len() as u64);
+    assert!(serial.2.iter().all(|&n| n > 0), "every shard must replay frames");
+    assert!(serial.3.iter().zip(&objects).all(|(got, (_, _, put))| got == put));
+    assert_eq!(reopen(2), serial);
+    assert_eq!(reopen(4), serial);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Telemetry counters and gauges are part of the deterministic surface:
 /// the same fixed-seed workload must record identical counter values and
 /// gauge high-water marks at every thread count. (Histograms time wall
