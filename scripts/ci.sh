@@ -62,6 +62,15 @@ for workload in accession perganet service custody; do
         > "$SCRATCH/benchmark-$workload.txt"
 done
 
+# Traced accession smoke: the traced pass checks that its counts equal the
+# untraced pass's and that the ingest probes run, on the hash-once write
+# path (SIP validation hashes, the store persists). Traced service stays
+# out until its span collector stops stalling on growth: that fails its
+# coverage check in about one run in three to seven.
+cargo run --offline --release -q -p itrust-bench --bin benchmark -- \
+    --workload accession --seed 1 --seconds 1 --trace 1 \
+    > "$SCRATCH/benchmark-accession-traced.txt"
+
 # Invariant gate: itrust-lint enforces the workspace rules (handle-based
 # telemetry, injected clocks, ordered iteration, ctx-first macros, pooled
 # threads, config-only env reads) plus the three interprocedural passes —
